@@ -15,6 +15,9 @@
 //!   themselves (the `safedm-sim` subcommands);
 //! * [`or_exit`] / [`list_or_exit`] / [`jobs`] wrappers for binaries whose
 //!   contract is "print `error: …` and exit 2".
+//!
+//! [`check`] / [`check_or_exit`] make a binary's command line strict:
+//! `--help` prints its usage and exits 0, and an unknown flag exits 2.
 
 /// The single error formatter every helper funnels through:
 /// `invalid value for FLAG: \`VALUE\` (expected EXPECTED)`.
@@ -141,6 +144,57 @@ pub fn opt_list<T: std::str::FromStr>(
     }
 }
 
+/// What [`check`] decided about a binary's command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Checked {
+    /// Every argument is a known flag: run.
+    Run,
+    /// `--help` or `-h` was given: print usage and stop.
+    Help,
+}
+
+/// Checks a binary's arguments (the program name excluded) against the
+/// flags it accepts: `valued` flags take the next argument as their value,
+/// `bare` flags take none.
+///
+/// # Errors
+///
+/// Names the first unknown argument, or a valued flag with no value.
+pub fn check(args: &[String], valued: &[&str], bare: &[&str]) -> Result<Checked, String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let arg = arg.as_str();
+        if arg == "--help" || arg == "-h" {
+            return Ok(Checked::Help);
+        }
+        if valued.contains(&arg) {
+            if rest.next().is_none() {
+                return Err(format!("missing value for {arg}"));
+            }
+        } else if !bare.contains(&arg) {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+    }
+    Ok(Checked::Run)
+}
+
+/// [`check`] with the bench binaries' tail: on `--help` prints `usage` to
+/// stdout and exits 0; on an error prints it and `usage` to stderr and
+/// exits 2.
+pub fn check_or_exit(args: &[String], usage: &str, valued: &[&str], bare: &[&str]) {
+    match check(args, valued, bare) {
+        Ok(Checked::Run) => {}
+        Ok(Checked::Help) => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(msg) => {
+            eprintln!("error: {msg}\n{usage}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Unwraps a helper's `Result`, printing `error: …` and exiting 2 on
 /// failure — the bench binaries' shared error tail.
 pub fn or_exit<T>(result: Result<T, String>) -> T {
@@ -214,6 +268,28 @@ mod tests {
         assert_eq!(u64_or(&a, "--seed", 7), Ok(7));
         assert_eq!(opt_u64(&a, "--seed"), Ok(None));
         assert_eq!(parsed_or(&a, "--level", 3u32), Ok(3));
+    }
+
+    #[test]
+    fn check_accepts_known_flags_and_names_the_unknown_one() {
+        let (valued, bare) = (&["--jobs", "--json"][..], &["--quick"][..]);
+        let ok = args(&["--jobs", "2", "--quick", "--json", "--quick"]);
+        assert_eq!(check(&ok, valued, bare), Ok(Checked::Run));
+        assert_eq!(check(&args(&[]), valued, bare), Ok(Checked::Run));
+        let bogus = args(&["--quick", "--bogus-flag"]);
+        assert_eq!(check(&bogus, valued, bare), Err("unknown argument `--bogus-flag`".to_owned()));
+        let stray = args(&["extra"]);
+        assert_eq!(check(&stray, valued, bare), Err("unknown argument `extra`".to_owned()));
+        let dangling = args(&["--jobs"]);
+        assert_eq!(check(&dangling, valued, bare), Err("missing value for --jobs".to_owned()));
+    }
+
+    #[test]
+    fn check_stops_at_help() {
+        let (valued, bare) = (&["--jobs"][..], &[][..]);
+        assert_eq!(check(&args(&["--help"]), valued, bare), Ok(Checked::Help));
+        assert_eq!(check(&args(&["-h", "--bogus"]), valued, bare), Ok(Checked::Help));
+        assert!(check(&args(&["--bogus", "-h"]), valued, bare).is_err());
     }
 
     #[test]

@@ -30,8 +30,14 @@ use safedm_faults::{Campaign, CampaignConfig};
 use safedm_obs::events::CellEvent;
 use safedm_tacle::kernels;
 
+const USAGE: &str = "usage: ccf_campaign [--trials N] [--seed S] [--jobs N] [--metrics-out PATH] \
+    [--events-out PATH] [--progress]";
+const VALUED: &[&str] = &["--trials", "--seed", "--jobs", "--metrics-out", "--events-out"];
+const BARE: &[&str] = &["--events-timing", "--progress"];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    args::check_or_exit(&args[1..], USAGE, VALUED, BARE);
     let telemetry = Telemetry::from_args(&args);
 
     // The campaign inputs route through the shared `safedm-api/1` request

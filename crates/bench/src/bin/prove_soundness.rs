@@ -242,8 +242,14 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
     }
 }
 
+const USAGE: &str = "usage: prove_soundness [--quick] [--jobs N] [--staggers 0,100,1000,10000] \
+    [--max-cycles N] [--events-out PATH] [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--staggers", "--max-cycles", "--events-out"];
+const BARE: &[&str] = &["--quick", "--events-timing", "--progress"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let quick = args::flag(&args, "--quick");
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);

@@ -28,8 +28,16 @@ use safedm_obs::SelfProfiler;
 use safedm_soc::Engine;
 use safedm_tacle::kernels;
 
+const USAGE: &str = "usage: table1 [--quick] [--jobs N] [--root-seed S] [--engine \
+    cycle|fast|hybrid] [--profile] [--json PATH] [--metrics-out PATH] \
+    [--events-out PATH] [--events-timing] [--progress]";
+const VALUED: &[&str] =
+    &["--root-seed", "--engine", "--jobs", "--json", "--metrics-out", "--events-out"];
+const BARE: &[&str] = &["--quick", "--profile", "--events-timing", "--progress"];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    args::check_or_exit(&args[1..], USAGE, VALUED, BARE);
     let quick = args::flag(&args, "--quick");
     let telemetry = Telemetry::from_args(&args);
     let root_seed = match args::opt_parsed::<u64>(&args, "--root-seed") {

@@ -184,8 +184,14 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
     }
 }
 
+const USAGE: &str = "usage: transform_diversity [--quick] [--jobs N] [--max-cycles N] [--seed S] \
+    [--engine cycle|hybrid] [--events-out PATH] [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--max-cycles", "--seed", "--engine", "--events-out"];
+const BARE: &[&str] = &["--quick", "--events-timing", "--progress"];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let quick = args::flag(&args, "--quick");
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);

@@ -58,7 +58,6 @@
 mod config;
 mod dcls;
 mod diff;
-mod fifo;
 mod gate;
 mod history;
 mod monitor;
@@ -72,7 +71,6 @@ mod system;
 pub use config::{IsLayout, ReportMode, SafeDmConfig};
 pub use dcls::DclsComparator;
 pub use diff::InstructionDiff;
-pub use fifo::HoldFifo;
 pub use gate::{DiversityGate, GateCheck};
 pub use history::{EpisodeTracker, Histogram};
 pub use monitor::{CycleReport, DiversityCounters, HammingStats, SafeDm};

@@ -1,10 +1,8 @@
 //! Data and Instruction Signature generators (paper, Section III-B, Fig. 2).
 
-use safedm_soc::{
-    CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH, READ_PORTS, WRITE_PORTS,
-};
+use safedm_soc::{CoreProbe, PIPE_STAGES, PIPE_WIDTH, READ_PORTS, WRITE_PORTS};
 
-use crate::{HoldFifo, IsLayout, SafeDmConfig};
+use crate::{IsLayout, SafeDmConfig};
 
 /// Total register-file ports observed per core.
 pub const DATA_PORTS: usize = READ_PORTS + WRITE_PORTS;
@@ -12,10 +10,22 @@ pub const DATA_PORTS: usize = READ_PORTS + WRITE_PORTS;
 /// One data-FIFO entry: the port enable line plus the 64-bit data lines.
 pub type DataSample = (bool, u64);
 
+/// One shifted cycle of every port: a row of the Data Signature ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct PortRow {
+    values: [u64; DATA_PORTS],
+    enables: [bool; DATA_PORTS],
+}
+
 /// The Data Signature (DS) of one core: one hold-gated FIFO per register
 /// port, each holding the last *n* cycles of port samples. The signature is
 /// the concatenation of all FIFOs; two cores lack data diversity when their
 /// signatures are bit-identical (paper, Section III-B1).
+///
+/// All ports of a core shift together under the one hold signal, so the
+/// FIFOs are stored as a single ring of *n* rows, one row per shifted cycle
+/// holding every port's sample, plus the index of the oldest row. A shift
+/// overwrites the oldest row in place; nothing moves.
 ///
 /// # Examples
 ///
@@ -31,20 +41,23 @@ pub type DataSample = (bool, u64);
 /// b.capture(&probe);
 /// assert_eq!(a, b); // identical activity -> identical signatures
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Eq)]
 pub struct DataSignature {
-    fifos: Vec<HoldFifo<DataSample>>, // READ_PORTS read ports then WRITE_PORTS write ports
+    /// `n` rows; `rows[head]` is the oldest, the row before it the newest.
+    rows: Vec<PortRow>,
+    head: usize,
 }
 
 impl DataSignature {
     /// Creates the signature generator for `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FIFO depth is zero.
     #[must_use]
     pub fn new(cfg: &SafeDmConfig) -> DataSignature {
-        DataSignature {
-            fifos: (0..DATA_PORTS)
-                .map(|_| HoldFifo::new(cfg.data_fifo_depth, (false, 0)))
-                .collect(),
-        }
+        assert!(cfg.data_fifo_depth >= 1, "data FIFO depth must be at least 1");
+        DataSignature { rows: vec![PortRow::default(); cfg.data_fifo_depth], head: 0 }
     }
 
     /// Captures one cycle of register-port activity. When the probe reports
@@ -53,26 +66,37 @@ impl DataSignature {
         if probe.hold {
             return;
         }
-        let sample = |p: &PortSample| (p.enable, p.value);
-        for (i, port) in probe.reads.iter().enumerate() {
-            self.fifos[i].shift(sample(port));
+        let row = &mut self.rows[self.head];
+        for (i, port) in probe.reads.iter().chain(&probe.writes).enumerate() {
+            row.enables[i] = port.enable;
+            row.values[i] = port.value;
         }
-        for (i, port) in probe.writes.iter().enumerate() {
-            self.fifos[READ_PORTS + i].shift(sample(port));
+        self.head += 1;
+        if self.head == self.rows.len() {
+            self.head = 0;
         }
     }
 
-    /// The concatenated signature, port-major, oldest sample first — the DS
-    /// bit vector of the paper in `(enable, value)` tuples.
+    /// The rows, oldest first.
+    fn oldest_first(&self) -> impl Iterator<Item = &PortRow> {
+        let (newer, older) = self.rows.split_at(self.head);
+        older.iter().chain(newer)
+    }
+
+    /// The concatenated signature, port-major (read ports, then write
+    /// ports), oldest sample first — the DS bit vector of the paper in
+    /// `(enable, value)` tuples.
     #[must_use]
     pub fn bits(&self) -> Vec<DataSample> {
-        self.fifos.iter().flat_map(|f| f.entries().iter().copied()).collect()
+        (0..DATA_PORTS)
+            .flat_map(|p| self.oldest_first().map(move |r| (r.enables[p], r.values[p])))
+            .collect()
     }
 
     /// Signature width in bits (65 bits per entry: 64 data + 1 enable).
     #[must_use]
     pub fn width_bits(&self) -> usize {
-        self.fifos.iter().map(|f| f.depth() * 65).sum()
+        self.rows.len() * DATA_PORTS * 65
     }
 
     /// Hamming distance to `other` in signature bits (0 ⇔ equal). A
@@ -80,9 +104,10 @@ impl DataSignature {
     #[must_use]
     pub fn hamming(&self, other: &DataSignature) -> u32 {
         let mut d = 0u32;
-        for (fa, fb) in self.fifos.iter().zip(&other.fifos) {
-            for (&(ea, va), &(eb, vb)) in fa.entries().iter().zip(fb.entries()) {
-                d += u32::from(ea != eb) + (va ^ vb).count_ones();
+        for (ra, rb) in self.oldest_first().zip(other.oldest_first()) {
+            for p in 0..DATA_PORTS {
+                d += u32::from(ra.enables[p] != rb.enables[p])
+                    + (ra.values[p] ^ rb.values[p]).count_ones();
             }
         }
         d
@@ -90,26 +115,39 @@ impl DataSignature {
 
     /// Resets all FIFOs to the power-on state.
     pub fn reset(&mut self) {
-        for f in &mut self.fifos {
-            f.reset((false, 0));
-        }
+        self.rows.fill(PortRow::default());
+        self.head = 0;
     }
+}
+
+impl PartialEq for DataSignature {
+    /// Bit-identical signatures: both rings walked from their oldest row.
+    /// The rings' rotations differ once one core has held.
+    fn eq(&self, other: &DataSignature) -> bool {
+        self.rows.len() == other.rows.len() && self.oldest_first().eq(other.oldest_first())
+    }
+}
+
+/// One IS entry packed into a word: the 32 encoding bits, with the valid bit
+/// as bit 32, so a slot compares and XORs as one integer.
+fn pack(valid: bool, raw: u32) -> u64 {
+    u64::from(valid) << 32 | u64::from(raw)
 }
 
 /// The Instruction Signature (IS) of one core (paper, Section III-B2).
 ///
 /// In [`IsLayout::PerStage`] the signature is the per-stage slot occupancy
-/// `I_x^y` of Fig. 2b: `(valid, encoding)` for each of the `o × p` slots.
-/// In [`IsLayout::InFlight`] it degrades to the flat list of in-flight
-/// instruction encodings.
+/// `I_x^y` of Fig. 2b: `(valid, encoding)` for each of the `o × p` slots,
+/// fetch stage first. In [`IsLayout::InFlight`] it degrades to the flat
+/// list of in-flight instruction encodings, oldest first, padded with
+/// invalid entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstructionSignature {
     layout: IsLayout,
     include_stale: bool,
-    /// Per-stage capture (PerStage layout).
-    stages: [[(bool, u32); PIPE_WIDTH]; PIPE_STAGES],
-    /// Flat in-flight list, padded with invalid entries (InFlight layout).
-    flat: Vec<(bool, u32)>,
+    /// `(valid, encoding)` per entry, [`pack`]ed; in PerStage layout
+    /// `slots[stage][slot]`, in InFlight layout read flat.
+    slots: [[u64; PIPE_WIDTH]; PIPE_STAGES],
 }
 
 impl InstructionSignature {
@@ -119,8 +157,7 @@ impl InstructionSignature {
         InstructionSignature {
             layout: cfg.is_layout,
             include_stale: cfg.include_stale_bits,
-            stages: [[(false, 0); PIPE_WIDTH]; PIPE_STAGES],
-            flat: vec![(false, 0); PIPE_STAGES * PIPE_WIDTH],
+            slots: [[0; PIPE_WIDTH]; PIPE_STAGES],
         }
     }
 
@@ -130,34 +167,25 @@ impl InstructionSignature {
         if probe.hold {
             return;
         }
-        let view = |s: &StageSlot| {
-            if s.valid {
-                (true, s.raw)
-            } else if self.include_stale {
-                (false, s.raw)
-            } else {
-                (false, 0)
-            }
-        };
         match self.layout {
             IsLayout::PerStage => {
-                for (i, stage) in probe.stages.iter().enumerate() {
-                    for (j, slot) in stage.iter().enumerate() {
-                        self.stages[i][j] = view(slot);
+                let stale_mask = if self.include_stale { u32::MAX } else { 0 };
+                for (entries, stage) in self.slots.iter_mut().zip(&probe.stages) {
+                    for (entry, s) in entries.iter_mut().zip(stage) {
+                        *entry = pack(s.valid, if s.valid { s.raw } else { s.raw & stale_mask });
                     }
                 }
             }
             IsLayout::InFlight => {
                 // Oldest (WB) first so the list is ordered by program age.
-                self.flat.clear();
-                for stage in probe.stages.iter().rev() {
-                    for slot in stage {
-                        if slot.valid {
-                            self.flat.push((true, slot.raw));
-                        }
-                    }
+                let live = probe.stages.iter().rev().flatten().filter(|s| s.valid);
+                let flat = self.slots.as_flattened_mut();
+                let mut n = 0;
+                for (entry, s) in flat.iter_mut().zip(live) {
+                    *entry = pack(true, s.raw);
+                    n += 1;
                 }
-                self.flat.resize(PIPE_STAGES * PIPE_WIDTH, (false, 0));
+                flat[n..].fill(0);
             }
         }
     }
@@ -165,10 +193,7 @@ impl InstructionSignature {
     /// The signature as `(valid, encoding)` entries.
     #[must_use]
     pub fn bits(&self) -> Vec<(bool, u32)> {
-        match self.layout {
-            IsLayout::PerStage => self.stages.iter().flatten().copied().collect(),
-            IsLayout::InFlight => self.flat.clone(),
-        }
+        self.slots.as_flattened().iter().map(|&e| (e >> 32 != 0, e as u32)).collect()
     }
 
     /// Signature width in bits (33 bits per slot: 32 encoding + 1 valid).
@@ -181,18 +206,13 @@ impl InstructionSignature {
     /// use the same layout).
     #[must_use]
     pub fn hamming(&self, other: &InstructionSignature) -> u32 {
-        let a = self.bits();
-        let b = other.bits();
-        a.iter()
-            .zip(&b)
-            .map(|(&(va, ra), &(vb, rb))| u32::from(va != vb) + (ra ^ rb).count_ones())
-            .sum()
+        let (a, b) = (self.slots.as_flattened(), other.slots.as_flattened());
+        a.iter().zip(b).map(|(a, b)| (a ^ b).count_ones()).sum()
     }
 
     /// Resets to the power-on state.
     pub fn reset(&mut self) {
-        self.stages = [[(false, 0); PIPE_WIDTH]; PIPE_STAGES];
-        self.flat = vec![(false, 0); PIPE_STAGES * PIPE_WIDTH];
+        self.slots = [[0; PIPE_WIDTH]; PIPE_STAGES];
     }
 }
 
@@ -264,6 +284,76 @@ mod tests {
         let cfg = SafeDmConfig::default();
         let ds = DataSignature::new(&cfg);
         assert_eq!(ds.width_bits(), DATA_PORTS * cfg.data_fifo_depth * 65);
+    }
+
+    fn depth(n: usize) -> SafeDmConfig {
+        SafeDmConfig { data_fifo_depth: n, ..SafeDmConfig::default() }
+    }
+
+    #[test]
+    fn ds_bits_are_port_major_oldest_first() {
+        let mut a = DataSignature::new(&depth(3));
+        assert_eq!(a.bits(), vec![(false, 0); DATA_PORTS * 3], "power-on state is idle");
+        for v in 1..=4u64 {
+            let mut p = probe_with_read(v);
+            p.writes[1] = PortSample { enable: v % 2 == 0, value: 10 * v };
+            a.capture(&p);
+        }
+        // Sample 1 fell off; each port lists samples 2, 3, 4.
+        let bits = a.bits();
+        assert_eq!(&bits[..3], &[(true, 2), (true, 3), (true, 4)]);
+        assert_eq!(&bits[3..6], &[(false, 0); 3], "read port 1 idle");
+        assert_eq!(&bits[bits.len() - 3..], &[(true, 20), (false, 30), (true, 40)]);
+    }
+
+    #[test]
+    fn ds_depth_one_tracks_last_sample() {
+        let mut a = DataSignature::new(&depth(1));
+        a.capture(&probe_with_read(3));
+        assert_eq!(a.bits()[0], (true, 3));
+        a.capture(&probe_with_read(4));
+        assert_eq!(a.bits()[0], (true, 4));
+        assert_eq!(a.width_bits(), DATA_PORTS * 65);
+    }
+
+    #[test]
+    fn ds_equality_ignores_ring_rotation() {
+        // b holds one cycle, so its ring is rotated one row behind a's; the
+        // signatures still hold the same samples in the same order.
+        let cfg = depth(4);
+        let mut a = DataSignature::new(&cfg);
+        let mut b = DataSignature::new(&cfg);
+        b.capture(&probe_with_read(0));
+        let mut held = probe_with_read(7);
+        held.hold = true;
+        for v in 1..=6 {
+            a.capture(&probe_with_read(v));
+            b.capture(&probe_with_read(v));
+            b.capture(&held);
+        }
+        assert_ne!(a.head, b.head);
+        assert_eq!(a, b);
+        assert_eq!(a.hamming(&b), 0);
+        a.capture(&probe_with_read(8));
+        assert_ne!(a, b);
+        b.capture(&probe_with_read(8));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ds_reset_restores_power_on_state() {
+        let cfg = depth(3);
+        let mut a = DataSignature::new(&cfg);
+        a.capture(&probe_with_read(9));
+        a.reset();
+        assert_eq!(a, DataSignature::new(&cfg));
+        assert_eq!(a.bits(), DataSignature::new(&cfg).bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "depth")]
+    fn ds_zero_depth_panics() {
+        let _ = DataSignature::new(&depth(0));
     }
 
     fn probe_with_stage(stage: usize, slot: usize, raw: u32) -> CoreProbe {

@@ -10,6 +10,7 @@
 //! describes for software-replicated redundant threads.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Which memory space an access targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,6 +35,46 @@ impl MemSpace {
 
 const LINE: u64 = 64; // backing granularity, independent of cache line size
 
+/// Hasher for backing-line indices: one multiply, then the high half folded
+/// into the low half so the space bits ([`MemSpace::fold`]) reach the
+/// bucket index. Line keys are plain integers chosen by the program, not by
+/// an adversary, so SipHash's flood resistance buys nothing here.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("backing lines are keyed by u64 only");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type LineMap = HashMap<u64, [u8; LINE as usize], BuildHasherDefault<LineHasher>>;
+
+/// Splits the folded byte range `[base, base + len)` at backing-line
+/// boundaries: yields `(line index, offset in line, offset in range, bytes)`.
+fn line_chunks(base: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize, usize)> {
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let a = base + done as u64;
+            let off = (a % LINE) as usize;
+            let n = (LINE as usize - off).min(len - done);
+            let chunk = (a / LINE, off, done, n);
+            done += n;
+            chunk
+        })
+    })
+}
+
 /// Sparse byte-addressable backing store.
 ///
 /// All functional data lives here (plus in-flight store-buffer entries);
@@ -55,7 +96,7 @@ const LINE: u64 = 64; // backing granularity, independent of cache line size
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MainMemory {
-    lines: HashMap<u64, [u8; LINE as usize]>,
+    lines: LineMap,
 }
 
 impl MainMemory {
@@ -68,35 +109,37 @@ impl MainMemory {
     /// Reads `buf.len()` bytes from `addr` in `space`. Unwritten memory
     /// reads as zero.
     pub fn read(&self, space: MemSpace, addr: u64, buf: &mut [u8]) {
-        let base = space.fold(addr);
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = base + i as u64;
-            *b = match self.lines.get(&(a / LINE)) {
-                Some(line) => line[(a % LINE) as usize],
-                None => 0,
-            };
+        for (line, off, at, n) in line_chunks(space.fold(addr), buf.len()) {
+            let dst = &mut buf[at..at + n];
+            match self.lines.get(&line) {
+                Some(bytes) => dst.copy_from_slice(&bytes[off..off + n]),
+                None => dst.fill(0),
+            }
         }
     }
 
     /// Writes `data` at `addr` in `space`.
     pub fn write(&mut self, space: MemSpace, addr: u64, data: &[u8]) {
-        let base = space.fold(addr);
-        for (i, b) in data.iter().enumerate() {
-            let a = base + i as u64;
-            let line = self.lines.entry(a / LINE).or_insert([0; LINE as usize]);
-            line[(a % LINE) as usize] = *b;
+        for (line, off, at, n) in line_chunks(space.fold(addr), data.len()) {
+            let bytes = self.lines.entry(line).or_insert([0; LINE as usize]);
+            bytes[off..off + n].copy_from_slice(&data[at..at + n]);
         }
     }
 
     /// Writes `data` under a byte `mask` (bit `i` of `mask` enables byte `i`).
+    /// A line none of whose bytes is enabled is left unallocated.
     pub fn write_masked(&mut self, space: MemSpace, addr: u64, data: &[u8], mask: &[bool]) {
         debug_assert_eq!(data.len(), mask.len());
-        let base = space.fold(addr);
-        for i in 0..data.len() {
-            if mask[i] {
-                let a = base + i as u64;
-                let line = self.lines.entry(a / LINE).or_insert([0; LINE as usize]);
-                line[(a % LINE) as usize] = data[i];
+        for (line, off, at, n) in line_chunks(space.fold(addr), data.len()) {
+            let mask = &mask[at..at + n];
+            if !mask.contains(&true) {
+                continue;
+            }
+            let bytes = self.lines.entry(line).or_insert([0; LINE as usize]);
+            for ((b, &d), &m) in bytes[off..off + n].iter_mut().zip(&data[at..at + n]).zip(mask) {
+                if m {
+                    *b = d;
+                }
             }
         }
     }
@@ -197,6 +240,44 @@ mod tests {
         let mut buf = [0u8; 4];
         m.read(MemSpace::Code, 0, &mut buf);
         assert_eq!(buf, [1, 0xaa, 3, 0xaa]);
+    }
+
+    #[test]
+    fn read_spanning_allocated_and_unallocated_lines() {
+        let mut m = MainMemory::new();
+        m.write(MemSpace::Private(1), 0x1000 - 4, &[1, 2, 3, 4]);
+        assert_eq!(m.allocated_lines(), 1);
+        let mut buf = [0xffu8; 12];
+        m.read(MemSpace::Private(1), 0x1000 - 4, &mut buf);
+        assert_eq!(buf, [1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0]);
+        // ...and the other way round: unallocated line first.
+        m.write(MemSpace::Private(1), 0x2000, &[5, 6, 7, 8]);
+        let mut buf = [0xffu8; 8];
+        m.read(MemSpace::Private(1), 0x2000 - 4, &mut buf);
+        assert_eq!(buf, [0, 0, 0, 0, 5, 6, 7, 8]);
+        assert_eq!(m.allocated_lines(), 2, "reads allocate nothing");
+    }
+
+    #[test]
+    fn masked_write_allocates_only_lines_with_enabled_bytes() {
+        let mut m = MainMemory::new();
+        m.write_masked(MemSpace::Code, LINE - 2, &[1, 2, 3, 4], &[false, false, true, false]);
+        assert_eq!(m.allocated_lines(), 1, "only the line holding an enabled byte");
+        assert_eq!(m.read_word(MemSpace::Code, LINE), 3);
+    }
+
+    #[test]
+    fn digest_is_pinned() {
+        // FNV-1a over (line index, line bytes) in ascending line order; the
+        // value must not depend on the line map's hasher or layout.
+        let mut m = MainMemory::new();
+        m.write(MemSpace::Code, 0x8000_0000, b"SafeDM");
+        m.write(MemSpace::Private(0), 0x8000_0040 - 3, &[1, 2, 3, 4, 5, 6]);
+        m.write(MemSpace::Private(1), 0x100, &[0xff; 70]);
+        m.write_masked(MemSpace::Code, 0x2000, &[9, 8, 7, 6], &[false, true, false, true]);
+        m.write_masked(MemSpace::Code, 0x3000, &[1, 2], &[false, false]);
+        assert_eq!(m.allocated_lines(), 6);
+        assert_eq!(m.digest(), 0x0733_5884_5fe0_1f58);
     }
 
     #[test]

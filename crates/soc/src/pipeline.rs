@@ -16,7 +16,7 @@ use safedm_isa::{
     alu, branch_taken, decode, is_aligned, load_value, CsrKind, Inst, LoadKind, Reg, StoreKind,
 };
 
-use crate::probe::{CoreProbe, PortSample, StageSlot, PIPE_STAGES, PIPE_WIDTH};
+use crate::probe::{CoreProbe, PIPE_STAGES, PIPE_WIDTH};
 use crate::{
     BranchPredictor, BusOp, BusResult, BusUnit, CoreExit, MemSpace, PortId, RegFile, SbForward,
     SocConfig, StoreBuffer, TagCache, TrapCause, Uncore,
@@ -148,7 +148,6 @@ pub struct Core {
     l1d: TagCache,
     sb: StoreBuffer,
     stages: [Group; PIPE_STAGES],
-    stale_raw: [[u32; PIPE_WIDTH]; PIPE_STAGES],
     fetch_pc: u64,
     code_range: (u64, u64),
     exit: CoreExit,
@@ -194,7 +193,6 @@ impl Core {
                 cfg.store_drain_delay,
             ),
             stages: Default::default(),
-            stale_raw: [[0; PIPE_WIDTH]; PIPE_STAGES],
             fetch_pc: 0,
             code_range: (0, 0),
             exit: CoreExit::Running,
@@ -639,12 +637,13 @@ impl Core {
     fn decode_and_predecode(&mut self) -> bool {
         // Decode both slots first.
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[D][i].clone() else { continue };
+            let Some(slot) = self.stages[D][i].as_mut() else { continue };
             if slot.inst.is_none() {
                 match decode(slot.raw) {
-                    Ok(inst) => self.stages[D][i].as_mut().expect("slot exists").inst = Some(inst),
+                    Ok(inst) => slot.inst = Some(inst),
                     Err(_) => {
-                        self.trap(TrapCause::IllegalInstruction { pc: slot.pc, word: slot.raw });
+                        let cause = TrapCause::IllegalInstruction { pc: slot.pc, word: slot.raw };
+                        self.trap(cause);
                         return false;
                     }
                 }
@@ -1090,33 +1089,25 @@ impl Core {
 
     // ---- probe -----------------------------------------------------------------------------------
 
-    #[allow(clippy::needless_range_loop)] // stage/slot indices mirror the hardware layout
+    /// Updates `self.probe` in place for this cycle. An empty slot keeps the
+    /// encoding it last showed: the stage latches are not cleared on squash.
     fn build_probe(&mut self, hold: bool, committed: u8) {
-        let mut stages = [[StageSlot::default(); PIPE_WIDTH]; PIPE_STAGES];
-        for s in 0..PIPE_STAGES {
-            for i in 0..PIPE_WIDTH {
-                match self.stages[s][i].as_ref() {
-                    Some(slot) => {
-                        self.stale_raw[s][i] = slot.raw;
-                        stages[s][i] = StageSlot { valid: true, raw: slot.raw };
-                    }
-                    None => {
-                        stages[s][i] = StageSlot { valid: false, raw: self.stale_raw[s][i] };
-                    }
+        let halted = self.halted();
+        let p = &mut self.probe;
+        for (wires, group) in p.stages.iter_mut().zip(&self.stages) {
+            for (wire, slot) in wires.iter_mut().zip(group) {
+                wire.valid = slot.is_some();
+                if let Some(slot) = slot {
+                    wire.raw = slot.raw;
                 }
             }
         }
-        let reads: [PortSample; crate::probe::READ_PORTS] = self.regs.read_samples();
-        let writes: [PortSample; crate::probe::WRITE_PORTS] = self.regs.write_samples();
-        self.probe = CoreProbe {
-            cycle: self.csrs.mcycle,
-            hold,
-            stages,
-            reads,
-            writes,
-            committed,
-            halted: self.halted(),
-        };
+        p.reads = self.regs.read_samples();
+        p.writes = self.regs.write_samples();
+        p.cycle = self.csrs.mcycle;
+        p.hold = hold;
+        p.committed = committed;
+        p.halted = halted;
     }
 }
 
