@@ -55,8 +55,14 @@ fn run(name: &str, policy: ArbitrationPolicy) -> RunOut {
     }
 }
 
+const USAGE: &str = "usage: ablation_arbitration [--jobs N] [--events-out PATH] \
+    [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--events-out"];
+const BARE: &[&str] = &["--events-timing", "--progress"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);
     let names = ["bitcount", "fac", "insertsort", "quicksort", "lms"];

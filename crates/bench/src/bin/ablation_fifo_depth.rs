@@ -19,8 +19,14 @@ use safedm_core::SafeDmConfig;
 use safedm_power::estimate_area;
 use safedm_tacle::kernels;
 
+const USAGE: &str = "usage: ablation_fifo_depth [--jobs N] [--events-out PATH] \
+    [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--events-out"];
+const BARE: &[&str] = &["--events-timing", "--progress"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);
     let names = ["fac", "iir", "bitcount", "md5"];

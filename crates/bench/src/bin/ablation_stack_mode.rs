@@ -22,8 +22,14 @@ use safedm_bench::experiments::{
 use safedm_core::SafeDmConfig;
 use safedm_tacle::{kernels, HarnessConfig, StackMode};
 
+const USAGE: &str = "usage: ablation_stack_mode [--jobs N] [--events-out PATH] \
+    [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--events-out"];
+const BARE: &[&str] = &["--events-timing", "--progress"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);
     // Stack-using kernels (calls / explicit work stacks) versus controls

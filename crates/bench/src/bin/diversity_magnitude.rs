@@ -13,8 +13,13 @@ use safedm_core::{MonitoredSoc, ReportMode, SafeDmConfig};
 use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, kernels, HarnessConfig};
 
+const USAGE: &str = "usage: diversity_magnitude [--kernel NAME]";
+const VALUED: &[&str] = &["--kernel"];
+const BARE: &[&str] = &[];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let name = args::value(&args, "--kernel").unwrap_or_else(|| "bitcount".to_owned());
     let k = kernels::by_name(&name).unwrap_or_else(|| {
         eprintln!("error: unknown kernel `{name}` (see kernel_stats for the list)");

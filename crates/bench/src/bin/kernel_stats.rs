@@ -45,8 +45,14 @@ fn characterize(prog: &safedm_asm::Program) -> Mix {
     mix
 }
 
+const USAGE: &str = "usage: kernel_stats [--jobs N] [--events-out PATH] [--events-timing] \
+    [--progress]";
+const VALUED: &[&str] = &["--jobs", "--events-out"];
+const BARE: &[&str] = &["--events-timing", "--progress"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);
     // One campaign cell per kernel; ordered collection keeps the table

@@ -92,8 +92,13 @@ fn one_request(
     Ok((run.lines, run.result.cache_hits, run.result.cache_misses, dt))
 }
 
+const USAGE: &str = "usage: load_test [--clients N] [--cells N] [--addr HOST:PORT] [--json PATH]";
+const VALUED: &[&str] = &["--clients", "--cells", "--addr", "--json"];
+const BARE: &[&str] = &[];
+
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&argv, USAGE, VALUED, BARE);
     let clients = args::or_exit(args::parsed_or::<usize>(&argv, "--clients", 4)).max(1);
     let cells = args::or_exit(args::u64_or(&argv, "--cells", 32)).max(1);
     let json_out = args::value(&argv, "--json");

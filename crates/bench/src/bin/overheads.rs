@@ -4,12 +4,19 @@
 //!
 //! Usage: `cargo run -p safedm-bench --bin overheads --release`
 
+use safedm_bench::args;
 use safedm_bench::experiments::run_monitored;
 use safedm_core::SafeDmConfig;
 use safedm_power::{estimate_area, estimate_power, Activity, BASELINE_LUTS, BASELINE_POWER_W};
 use safedm_tacle::kernels;
 
+const USAGE: &str = "usage: overheads";
+const VALUED: &[&str] = &[];
+const BARE: &[&str] = &[];
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let cfg = SafeDmConfig::default();
     let area = estimate_area(&cfg);
 

@@ -27,8 +27,14 @@ struct WindowRow {
     no_div: usize,
 }
 
+const USAGE: &str = "usage: staggering_trace [--kernel NAME] [--nops N] [--window N] \
+    [--csv PATH] [--metrics-out PATH]";
+const VALUED: &[&str] = &["--kernel", "--nops", "--window", "--csv", "--metrics-out"];
+const BARE: &[&str] = &[];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let kernel_name = args::value(&args, "--kernel").unwrap_or_else(|| "pm".to_owned());
     let nops: usize = args::or_exit(args::parsed_or(&args, "--nops", 1000));
     let window: u64 = args::or_exit(args::parsed_or(&args, "--window", 256)).max(1);

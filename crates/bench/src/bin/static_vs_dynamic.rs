@@ -78,8 +78,14 @@ fn synthetic_hazards() -> Vec<(&'static str, Program)> {
     out
 }
 
+const USAGE: &str = "usage: static_vs_dynamic [--quick] [--jobs N] [--events-out PATH] \
+    [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--events-out"];
+const BARE: &[&str] = &["--quick", "--events-timing", "--progress"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let quick = args::flag(&args, "--quick");
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);

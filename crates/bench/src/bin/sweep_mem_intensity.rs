@@ -26,8 +26,14 @@ use safedm_tacle::{build_synthetic, StackMode, SynthConfig};
 const PERCENTS: [u32; 8] = [0, 2, 5, 10, 20, 40, 60, 80];
 const SEEDS: u64 = 3;
 
+const USAGE: &str = "usage: sweep_mem_intensity [--jobs N] [--events-out PATH] \
+    [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--events-out"];
+const BARE: &[&str] = &["--events-timing", "--progress"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);
 

@@ -56,8 +56,14 @@ fn run_safedm(prog: &safedm_asm::Program) -> (u64, u64, u64) {
     (out.run.cycles, out.no_div_cycles, out.zero_stag_cycles)
 }
 
+const USAGE: &str = "usage: table2_taxonomy [--jobs N] [--events-out PATH] [--events-timing] \
+    [--progress]";
+const VALUED: &[&str] = &["--jobs", "--events-out"];
+const BARE: &[&str] = &["--events-timing", "--progress"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args::check_or_exit(&args, USAGE, VALUED, BARE);
     let jobs = args::jobs(&args);
     let telemetry = Telemetry::from_args(&args);
     let names = ["bitcount", "fac", "iir", "insertsort", "pm", "quicksort", "md5", "fft"];

@@ -91,7 +91,8 @@ impl MultiPairSoc {
     }
 
     /// One cycle: SoC, then every pair's command application, observation
-    /// and mirror.
+    /// and mirror (written only while a guest read is on the bus, see
+    /// [`regs::mirror_on_read`]).
     pub fn step(&mut self) -> Vec<CycleReport> {
         self.soc.step();
         let mut reports = Vec::with_capacity(self.pairs.len());
@@ -106,8 +107,7 @@ impl MultiPairSoc {
                 let pb = self.soc.probe(b);
                 p.dm.observe(pa, pb)
             };
-            let bank = self.soc.uncore_mut().apb_slave_mut(p.apb_index);
-            regs::mirror(&p.dm, bank);
+            regs::mirror_on_read(&p.dm, self.soc.uncore_mut(), p.apb_index);
             reports.push(report);
         }
         reports
@@ -161,10 +161,11 @@ impl MultiPairSoc {
         &mut self.pairs[i].dm
     }
 
-    /// The APB bank of pair `i`.
+    /// The APB bank of pair `i` with its monitor registers mirrored (a
+    /// copy).
     #[must_use]
-    pub fn apb_bank(&self, i: usize) -> &ApbRegisterFile {
-        self.soc.uncore().apb_slave(self.pairs[i].apb_index)
+    pub fn apb_bank(&self, i: usize) -> ApbRegisterFile {
+        regs::mirrored(&self.pairs[i].dm, self.soc.uncore(), self.pairs[i].apb_index)
     }
 
     /// The underlying SoC.
@@ -217,6 +218,19 @@ mod tests {
             sys.monitor(0).counters().no_div_cycles,
             sys.monitor(1).counters().no_div_cycles
         );
+    }
+
+    #[test]
+    fn apb_banks_mirror_counters_between_manual_steps() {
+        let mut sys = MultiPairSoc::new(four_core(), SafeDmConfig::default(), &[(0, 1), (2, 3)]);
+        sys.load_program(&loop_prog(100));
+        for _ in 0..50 {
+            sys.step();
+        }
+        for i in 0..2 {
+            assert!(sys.monitor(i).counters().cycles_observed > 0);
+            regs::tests::assert_bank_mirrors(&sys.apb_bank(i), sys.monitor(i));
+        }
     }
 
     #[test]

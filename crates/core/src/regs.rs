@@ -1,12 +1,13 @@
 //! The SafeDM APB register map (paper, Section IV-B2).
 //!
 //! SafeDM is integrated as an APB slave. The model mirrors the monitor's
-//! architectural state into an [`ApbRegisterFile`] each cycle so guest
-//! programs can poll it, and applies guest-written control registers back to
-//! the monitor. Everything outside the APB logic is bus-agnostic, as the
-//! paper requires.
+//! architectural state into an [`ApbRegisterFile`] so guest programs can
+//! poll it, and applies guest-written control registers back to the monitor
+//! every cycle. The mirror is written only while a guest read can observe
+//! it ([`mirror_on_read`]); the host reads the bank through [`mirrored`].
+//! Everything outside the APB logic is bus-agnostic, as the paper requires.
 
-use safedm_soc::ApbRegisterFile;
+use safedm_soc::{ApbRegisterFile, Uncore};
 
 use crate::{ReportMode, SafeDm};
 
@@ -80,6 +81,24 @@ pub fn mirror(dm: &SafeDm, rf: &mut ApbRegisterFile) {
     }
 }
 
+/// End-of-cycle mirror into APB slave `index`, written only while an APB
+/// read waits for or holds the bus. A guest read then returns the state at
+/// the end of the cycle before it completes, as with a mirror every cycle.
+pub fn mirror_on_read(dm: &SafeDm, uncore: &mut Uncore, index: usize) {
+    if uncore.apb_read_in_flight() {
+        mirror(dm, uncore.apb_slave_mut(index));
+    }
+}
+
+/// The host's view of APB slave `index`: a copy of the bank with the mirror
+/// applied.
+#[must_use]
+pub fn mirrored(dm: &SafeDm, uncore: &Uncore, index: usize) -> ApbRegisterFile {
+    let mut bank = uncore.apb_slave(index).clone();
+    mirror(dm, &mut bank);
+    bank
+}
+
 /// Applies guest-written control registers to the monitor (guest → host).
 pub fn apply_commands(dm: &mut SafeDm, rf: &mut ApbRegisterFile) {
     let ctrl = rf.reg(regmap::CTRL);
@@ -103,7 +122,7 @@ pub fn reset_ctrl() -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::SafeDmConfig;
     use safedm_soc::CoreProbe;
@@ -190,6 +209,19 @@ mod tests {
         assert_eq!(rf.reg(regmap::DS_MATCH_EPISODES), 1);
         assert_eq!(rf.reg(regmap::IS_MATCH_EPISODES), 1);
         assert_eq!(rf.reg(regmap::MAX_ABS_STAGGER), 0);
+    }
+
+    /// Asserts that `bank` exposes `dm`'s state in every mirrored register.
+    pub(crate) fn assert_bank_mirrors(bank: &ApbRegisterFile, dm: &SafeDm) {
+        let c = dm.counters();
+        assert_eq!(bank.reg(regmap::CYCLES_OBSERVED), c.cycles_observed);
+        assert_eq!(bank.reg(regmap::NO_DIV_CYCLES), c.no_div_cycles);
+        assert_eq!(bank.reg(regmap::DS_MATCH_CYCLES), c.ds_match_cycles);
+        assert_eq!(bank.reg(regmap::IS_MATCH_CYCLES), c.is_match_cycles);
+        assert_eq!(bank.reg(regmap::ZERO_STAG_CYCLES), dm.instruction_diff().zero_cycles());
+        assert_eq!(bank.reg(regmap::INSTR_DIFF), dm.instruction_diff().value() as u64);
+        assert_eq!(bank.reg(regmap::MAX_NO_DIV_RUN), dm.max_no_div_run());
+        assert_eq!(bank.reg(regmap::STATUS) & 1, u64::from(dm.irq_pending()));
     }
 
     #[test]

@@ -189,9 +189,10 @@ impl MonitoredSoc {
     }
 
     /// One cycle: SoC, then SafeDE (if attached), then APB command
-    /// application, then SafeDM observation, then the APB mirror — so a
-    /// control write (guest or host) takes effect before the cycle is
-    /// judged.
+    /// application, then SafeDM observation, then the APB mirror (written
+    /// only while a guest read is on the bus, see [`regs::mirror_on_read`])
+    /// — so a control write (guest or host) takes effect before the cycle
+    /// is judged.
     pub fn step(&mut self) -> CycleReport {
         self.soc.step();
         self.post_step()
@@ -217,8 +218,7 @@ impl MonitoredSoc {
             let (p0, p1) = (self.soc.probe(0), self.soc.probe(1));
             self.dm.observe(p0, p1)
         };
-        let bank = self.soc.uncore_mut().apb_slave_mut(self.apb_index);
-        regs::mirror(&self.dm, bank);
+        regs::mirror_on_read(&self.dm, self.soc.uncore_mut(), self.apb_index);
         if let Some(gate) = self.gate.as_mut() {
             gate.observe(self.soc.core(0).last_commit_pc(), &report);
         }
@@ -297,10 +297,10 @@ impl MonitoredSoc {
         self.safede.as_ref()
     }
 
-    /// The APB bank mirroring the monitor registers.
+    /// The APB bank with the monitor registers mirrored (a copy).
     #[must_use]
-    pub fn apb_bank(&self) -> &ApbRegisterFile {
-        self.soc.uncore().apb_slave(self.apb_index)
+    pub fn apb_bank(&self) -> ApbRegisterFile {
+        regs::mirrored(&self.dm, self.soc.uncore(), self.apb_index)
     }
 
     /// Host-side write to the monitor's CTRL register (takes effect at the
@@ -368,6 +368,22 @@ mod tests {
         assert_eq!(bank.reg(regmap::CYCLES_OBSERVED), out.cycles_observed);
         assert_eq!(bank.reg(regmap::NO_DIV_CYCLES), out.no_div_cycles);
         assert_eq!(bank.reg(regmap::ZERO_STAG_CYCLES), out.zero_stag_cycles);
+    }
+
+    #[test]
+    fn apb_bank_mirrors_counters_between_manual_steps() {
+        let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
+        sys.load_program(&loop_prog(100));
+        for steps in [1, 10, 100] {
+            for _ in 0..steps {
+                sys.step();
+            }
+            assert!(sys.monitor().counters().cycles_observed > 0);
+            regs::tests::assert_bank_mirrors(&sys.apb_bank(), sys.monitor());
+            // With no guest read on the bus the bank itself is left alone.
+            let raw = sys.soc().uncore().apb_slave(sys.apb_index);
+            assert_eq!(raw.reg(regmap::CYCLES_OBSERVED), 0);
+        }
     }
 
     #[test]

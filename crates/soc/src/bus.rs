@@ -198,6 +198,14 @@ impl Uncore {
         self.ports[idx].pending.is_some() || self.active.as_ref().is_some_and(|a| a.port == idx)
     }
 
+    /// Whether an APB read waits for or holds the bus. A read returns its
+    /// slave's contents at the cycle it completes, so a bank kept current
+    /// only while this holds is exact for every guest read.
+    #[must_use]
+    pub fn apb_read_in_flight(&self) -> bool {
+        self.ports.iter().any(|p| matches!(p.pending, Some(BusOp::ApbRead { .. })))
+    }
+
     /// Collects the completion for `port`, if any.
     pub fn take_done(&mut self, port: PortId) -> Option<BusResult> {
         self.ports[port.index()].done.take()
@@ -321,6 +329,9 @@ impl Uncore {
             return;
         }
 
+        if waiting == 0 {
+            return;
+        }
         // Arbitration: round-robin starting after the last granted port,
         // or fixed priority from port 0.
         let n = self.ports.len();
@@ -328,8 +339,7 @@ impl Uncore {
             crate::ArbitrationPolicy::RoundRobin => self.rr_next,
             crate::ArbitrationPolicy::FixedPriority => 0,
         };
-        for off in 0..n {
-            let idx = (start + off) % n;
+        for idx in (start..n).chain(0..start) {
             if self.ports[idx].pending.is_some() && self.ports[idx].done.is_none() {
                 if waiting > 1 {
                     self.stats.contended_cycles += 1;

@@ -31,6 +31,10 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct TagCache {
     cfg: CacheConfig,
+    /// `log2(line_bytes)` and `log2(line_bytes * sets)`: the set index and
+    /// the tag are shifts of the key.
+    set_shift: u32,
+    tag_shift: u32,
     ways: Vec<Way>, // sets * ways, row-major by set
     tick: u64,
     hits: u64,
@@ -39,10 +43,21 @@ pub struct TagCache {
 
 impl TagCache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sets` and `line_bytes` are powers of two.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> TagCache {
+        assert!(
+            cfg.sets.is_power_of_two() && cfg.line_bytes.is_power_of_two(),
+            "cache sets and line size must be powers of two"
+        );
+        let set_shift = cfg.line_bytes.trailing_zeros();
         TagCache {
             cfg,
+            set_shift,
+            tag_shift: set_shift + cfg.sets.trailing_zeros(),
             ways: vec![Way::default(); cfg.sets * cfg.ways],
             tick: 0,
             hits: 0,
@@ -51,11 +66,11 @@ impl TagCache {
     }
 
     fn set_of(&self, key: u64) -> usize {
-        ((key / self.cfg.line_bytes) as usize) & (self.cfg.sets - 1)
+        ((key >> self.set_shift) as usize) & (self.cfg.sets - 1)
     }
 
     fn tag_of(&self, key: u64) -> u64 {
-        key / self.cfg.line_bytes / self.cfg.sets as u64
+        key >> self.tag_shift
     }
 
     fn set_slice(&mut self, set: usize) -> &mut [Way] {

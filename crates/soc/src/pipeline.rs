@@ -6,10 +6,16 @@
 //! Groups may *split* at issue (`D` → `RA`) when the pair violates a
 //! dual-issue constraint; after issue they travel as a unit.
 //!
+//! The stage registers stay in place: each core owns seven group buffers and
+//! a permutation from logical stage to buffer, so an all-or-none advance
+//! swaps two indices instead of moving slot data.
+//!
 //! The model is cycle-driven: [`Core::step`] advances one clock, interacting
 //! with the shared [`Uncore`] through its three bus ports (ifetch, data,
 //! store drain) and producing a fresh [`CoreProbe`] for the diversity
 //! monitor.
+
+use std::collections::VecDeque;
 
 use safedm_isa::csr::CsrFile;
 use safedm_isa::{
@@ -147,7 +153,10 @@ pub struct Core {
     l1i: TagCache,
     l1d: TagCache,
     sb: StoreBuffer,
-    stages: [Group; PIPE_STAGES],
+    /// Stage group buffers, addressed through `stage_buf`.
+    bufs: [Group; PIPE_STAGES],
+    /// Logical stage → index into `bufs` (always a permutation).
+    stage_buf: [usize; PIPE_STAGES],
     fetch_pc: u64,
     code_range: (u64, u64),
     exit: CoreExit,
@@ -160,7 +169,7 @@ pub struct Core {
     sb_force: bool,
     probe: CoreProbe,
     stats: CoreStats,
-    commit_trace: Option<(Vec<CommitRecord>, usize)>,
+    commit_trace: Option<(VecDeque<CommitRecord>, usize)>,
     last_commit_pc: Option<u64>,
 }
 
@@ -192,7 +201,8 @@ impl Core {
                 cfg.l1d.line_bytes,
                 cfg.store_drain_delay,
             ),
-            stages: Default::default(),
+            bufs: Default::default(),
+            stage_buf: [F, D, RA, EX, ME, XC, WB],
             fetch_pc: 0,
             code_range: (0, 0),
             exit: CoreExit::Running,
@@ -222,12 +232,12 @@ impl Core {
     /// Enables the commit trace, keeping the most recent `capacity`
     /// committed instructions (the model's Modelsim-style instruction log).
     pub fn enable_commit_trace(&mut self, capacity: usize) {
-        self.commit_trace = Some((Vec::with_capacity(capacity.min(1 << 20)), capacity));
+        self.commit_trace = Some((VecDeque::with_capacity(capacity.min(1 << 20)), capacity));
     }
 
     /// Takes the recorded commit trace (oldest first) and disables tracing.
     pub fn take_commit_trace(&mut self) -> Vec<CommitRecord> {
-        self.commit_trace.take().map(|(v, _)| v).unwrap_or_default()
+        self.commit_trace.take().map(|(v, _)| v.into()).unwrap_or_default()
     }
 
     /// The core index (== `mhartid`).
@@ -295,14 +305,15 @@ impl Core {
     /// `slot`, if one is present (fault-injection site inspection).
     #[must_use]
     pub fn peek_stage_result(&self, stage: usize, slot: usize) -> Option<u64> {
-        self.stages.get(stage).and_then(|g| g[slot].as_ref()).and_then(|s| s.result)
+        let b = *self.stage_buf.get(stage)?;
+        self.bufs[b][slot].as_ref().and_then(|s| s.result)
     }
 
     /// Flips one bit of the forwardable result latch of pipeline stage
     /// `stage`, slot `slot`, if a result is present there. Returns `true`
     /// when a flip landed (fault injection).
     pub fn flip_stage_result_bit(&mut self, stage: usize, slot: usize, bit: u8) -> bool {
-        if let Some(Some(s)) = self.stages.get_mut(stage).map(|g| &mut g[slot]) {
+        if let Some(Some(s)) = self.stage_buf.get(stage).map(|&b| &mut self.bufs[b][slot]) {
             if let Some(r) = s.result.as_mut() {
                 *r ^= 1u64 << (bit & 63);
                 return true;
@@ -374,8 +385,24 @@ impl Core {
         self.flush_all();
     }
 
+    /// The group in logical stage `stage`.
+    fn stage(&self, stage: usize) -> &Group {
+        &self.bufs[self.stage_buf[stage]]
+    }
+
+    fn stage_mut(&mut self, stage: usize) -> &mut Group {
+        &mut self.bufs[self.stage_buf[stage]]
+    }
+
+    /// Moves the whole group in stage `from` into the empty stage `to` by
+    /// swapping their buffers; the vacated stage takes the empty buffer.
+    fn advance(&mut self, from: usize, to: usize) {
+        debug_assert!(group_empty(self.stage(to)), "advance into an occupied stage");
+        self.stage_buf.swap(from, to);
+    }
+
     fn flush_all(&mut self) {
-        for g in &mut self.stages {
+        for g in &mut self.bufs {
             *g = Default::default();
         }
         self.ex_done = false;
@@ -384,9 +411,9 @@ impl Core {
     }
 
     fn flush_front(&mut self, new_pc: u64) {
-        self.stages[F] = Default::default();
-        self.stages[D] = Default::default();
-        self.stages[RA] = Default::default();
+        for stage in [F, D, RA] {
+            *self.stage_mut(stage) = Default::default();
+        }
         self.d_predecoded = false;
         self.fetch_pc = new_pc;
         // An in-flight ifetch (ifetch_key) is not cancelled: the line still
@@ -437,53 +464,55 @@ impl Core {
         let mut operand_blocked = false;
         let mut fetch_blocked = false;
 
-        // ---- WB: commit -------------------------------------------------
-        if !group_empty(&self.stages[WB]) {
-            let group = std::mem::take(&mut self.stages[WB]);
-            for (i, slot) in group.into_iter().enumerate() {
-                let Some(slot) = slot else { continue };
+        // ---- WB: commit in place ------------------------------------------
+        let wb = self.stage_buf[WB];
+        if !group_empty(&self.bufs[wb]) {
+            for i in 0..PIPE_WIDTH {
+                let Some(slot) = self.bufs[wb][i].as_ref() else { continue };
+                let (pc, raw, result, csr_write) = (slot.pc, slot.raw, slot.result, slot.csr_write);
                 let inst = slot.inst();
                 if let Some((trace, cap)) = self.commit_trace.as_mut() {
-                    if trace.len() >= *cap {
-                        trace.remove(0);
-                    }
-                    trace.push(CommitRecord {
+                    trace.push_back(CommitRecord {
                         cycle: self.csrs.mcycle,
-                        pc: slot.pc,
-                        raw: slot.raw,
+                        pc,
+                        raw,
                         rd: inst.rd(),
-                        value: inst.rd().and(slot.result),
+                        value: inst.rd().and(result),
                     });
+                    if trace.len() > *cap {
+                        trace.pop_front();
+                    }
                 }
                 if let Some(rd) = inst.rd() {
-                    self.regs.write(i, rd, slot.result.expect("committing instruction has result"));
-                } else if let Some(v) = slot.result {
+                    self.regs.write(i, rd, result.expect("committing instruction has result"));
+                } else if let Some(v) = result {
                     if !matches!(inst, Inst::Branch { .. } | Inst::Store { .. }) {
                         // x0-destination writes still drive the port lines.
                         self.regs.write(i, Reg::ZERO, v);
                     }
                 }
-                if let Some((csr, v)) = slot.csr_write {
+                if let Some((csr, v)) = csr_write {
                     self.csrs.write(csr, v);
                 }
                 self.csrs.minstret += 1;
                 self.stats.retired += 1;
-                self.last_commit_pc = Some(slot.pc);
+                self.last_commit_pc = Some(pc);
                 committed += 1;
                 match inst {
                     Inst::Ebreak => {
-                        self.exit = CoreExit::Ebreak { pc: slot.pc };
+                        self.exit = CoreExit::Ebreak { pc };
                         self.flush_all();
                         break;
                     }
                     Inst::Ecall => {
-                        self.exit = CoreExit::Ecall { pc: slot.pc };
+                        self.exit = CoreExit::Ecall { pc };
                         self.flush_all();
                         break;
                     }
                     _ => {}
                 }
             }
+            self.bufs[wb] = Default::default();
             if committed == 2 {
                 self.stats.dual_commits += 1;
             }
@@ -491,16 +520,16 @@ impl Core {
         }
 
         // ---- XC -> WB ----------------------------------------------------
-        if !self.halted() && group_empty(&self.stages[WB]) && !group_empty(&self.stages[XC]) {
-            self.stages[WB] = std::mem::take(&mut self.stages[XC]);
+        if !self.halted() && group_empty(self.stage(WB)) && !group_empty(self.stage(XC)) {
+            self.advance(XC, WB);
             progress = true;
         }
 
         // ---- ME ----------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[ME]) {
+        if !self.halted() && !group_empty(self.stage(ME)) {
             let all_done = self.process_me(uncore);
-            if all_done && group_empty(&self.stages[XC]) {
-                self.stages[XC] = std::mem::take(&mut self.stages[ME]);
+            if all_done && group_empty(self.stage(XC)) {
+                self.advance(ME, XC);
                 progress = true;
             } else if !all_done {
                 me_blocked = true;
@@ -508,7 +537,7 @@ impl Core {
         }
 
         // ---- EX ----------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[EX]) {
+        if !self.halted() && !group_empty(self.stage(EX)) {
             if !self.ex_done {
                 let latency = self.execute_group();
                 self.ex_done = true;
@@ -516,8 +545,8 @@ impl Core {
             } else if self.ex_remaining > 0 {
                 self.ex_remaining -= 1;
             }
-            if self.ex_done && self.ex_remaining == 0 && group_empty(&self.stages[ME]) {
-                self.stages[ME] = std::mem::take(&mut self.stages[EX]);
+            if self.ex_done && self.ex_remaining == 0 && group_empty(self.stage(ME)) {
+                self.advance(EX, ME);
                 self.ex_done = false;
                 progress = true;
             } else if self.ex_remaining > 0 {
@@ -526,9 +555,9 @@ impl Core {
         }
 
         // ---- RA -> EX ------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[RA]) && group_empty(&self.stages[EX]) {
+        if !self.halted() && !group_empty(self.stage(RA)) && group_empty(self.stage(EX)) {
             if self.read_operands() {
-                self.stages[EX] = std::mem::take(&mut self.stages[RA]);
+                self.advance(RA, EX);
                 progress = true;
             } else {
                 operand_blocked = true;
@@ -536,23 +565,23 @@ impl Core {
         }
 
         // ---- D: predecode, then issue to RA ---------------------------------
-        if !self.halted() && !group_empty(&self.stages[D]) {
+        if !self.halted() && !group_empty(self.stage(D)) {
             if !self.d_predecoded && !self.decode_and_predecode() {
                 // trapped on illegal instruction
-            } else if !self.halted() && group_empty(&self.stages[RA]) && self.issue() {
+            } else if !self.halted() && group_empty(self.stage(RA)) && self.issue() {
                 progress = true;
             }
         }
 
         // ---- F -> D -----------------------------------------------------------
-        if !self.halted() && !group_empty(&self.stages[F]) && group_empty(&self.stages[D]) {
-            self.stages[D] = std::mem::take(&mut self.stages[F]);
+        if !self.halted() && !group_empty(self.stage(F)) && group_empty(self.stage(D)) {
+            self.advance(F, D);
             self.d_predecoded = false;
             progress = true;
         }
 
         // ---- fetch ---------------------------------------------------------------
-        if !self.halted() && group_empty(&self.stages[F]) {
+        if !self.halted() && group_empty(self.stage(F)) {
             if self.fetch(uncore) {
                 progress = true;
             } else {
@@ -586,7 +615,7 @@ impl Core {
             // Sequential prefetch may legitimately run off the end of the
             // text section while an `ebreak` is still in flight. Only a
             // drained pipeline with an invalid fetch PC is a true runaway.
-            if self.stages.iter().all(group_empty) && !uncore.in_flight(self.ifetch_port()) {
+            if self.bufs.iter().all(group_empty) && !uncore.in_flight(self.ifetch_port()) {
                 self.trap(TrapCause::FetchFault { pc });
             }
             return false;
@@ -609,23 +638,24 @@ impl Core {
             return false;
         }
 
-        let mut count = 0usize;
-        let mut slots: Group = Default::default();
-        for i in 0..PIPE_WIDTH as u64 {
-            let a = pc + 4 * i;
-            if self.l1i.line_base(a) != line || !self.in_code(a) {
-                break;
-            }
-            let raw = uncore.mem.read_word(MemSpace::Code, a);
-            slots[i as usize] = Some(Slot::fetched(raw, a));
-            count += 1;
-        }
+        let count = (0..PIPE_WIDTH as u64)
+            .map(|i| pc + 4 * i)
+            .take_while(|&a| self.l1i.line_base(a) == line && self.in_code(a))
+            .count();
         if count == 0 {
             self.trap(TrapCause::FetchFault { pc });
             return false;
         }
+        // The group never crosses a line, so one memory lookup reads it.
+        let mut words = [0u8; 4 * PIPE_WIDTH];
+        uncore.mem.read(MemSpace::Code, pc, &mut words[..4 * count]);
+        let f = self.stage_buf[F];
+        let fetched = self.bufs[f].iter_mut().zip(words.chunks_exact(4)).take(count);
+        for (i, (slot, word)) in fetched.enumerate() {
+            let raw = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
+            *slot = Some(Slot::fetched(raw, pc + 4 * i as u64));
+        }
         self.fetch_pc = pc + 4 * count as u64;
-        self.stages[F] = slots;
         true
     }
 
@@ -635,9 +665,10 @@ impl Core {
     /// predicted-taken branches). Returns `false` on an illegal-instruction
     /// trap.
     fn decode_and_predecode(&mut self) -> bool {
+        let d = self.stage_buf[D];
         // Decode both slots first.
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[D][i].as_mut() else { continue };
+            let Some(slot) = self.bufs[d][i].as_mut() else { continue };
             if slot.inst.is_none() {
                 match decode(slot.raw) {
                     Ok(inst) => slot.inst = Some(inst),
@@ -651,13 +682,13 @@ impl Core {
         }
         // Front-end redirect at the first control-flow slot.
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[D][i].as_ref() else { continue };
+            let Some(slot) = self.bufs[d][i].as_ref() else { continue };
             let pc = slot.pc;
             match slot.inst() {
                 Inst::Jal { offset, .. } => {
                     let target = pc.wrapping_add(offset as u64);
                     for j in i + 1..PIPE_WIDTH {
-                        self.stages[D][j] = None;
+                        self.bufs[d][j] = None;
                     }
                     self.flush_stage_f_and_redirect(target);
                     break;
@@ -669,9 +700,9 @@ impl Core {
                     };
                     if predict_taken {
                         let target = pc.wrapping_add(offset as u64);
-                        self.stages[D][i].as_mut().expect("slot exists").predicted_taken = true;
+                        self.bufs[d][i].as_mut().expect("slot exists").predicted_taken = true;
                         for j in i + 1..PIPE_WIDTH {
-                            self.stages[D][j] = None;
+                            self.bufs[d][j] = None;
                         }
                         self.flush_stage_f_and_redirect(target);
                         break;
@@ -685,41 +716,36 @@ impl Core {
     }
 
     fn flush_stage_f_and_redirect(&mut self, target: u64) {
-        self.stages[F] = Default::default();
+        *self.stage_mut(F) = Default::default();
         self.fetch_pc = target;
     }
 
-    /// Moves an issueable group from `D` into `RA`, splitting pairs that
-    /// violate dual-issue constraints. Returns `true` if anything issued.
+    /// Moves an issueable group from `D` into the empty `RA`, splitting
+    /// pairs that violate dual-issue constraints. Returns `true` if anything
+    /// issued.
     fn issue(&mut self) -> bool {
-        let d = &mut self.stages[D];
+        let d = &mut self.bufs[self.stage_buf[D]];
         // Compact: slot0 must exist (it may have been squashed by predecode
         // while slot1 survived — normalise by shifting down).
         if d[0].is_none() {
             d[0] = d[1].take();
         }
-        let Some(s0) = d[0].take() else {
+        let Some(s0) = d[0].as_ref() else {
             // group became empty after squash
             self.d_predecoded = false;
             return false;
         };
-        let i0 = s0.inst();
-
-        let mut pair = false;
-        if let Some(s1) = d[1].as_ref() {
-            let i1 = s1.inst();
-            pair = Self::can_dual_issue(&i0, &i1);
-        }
-        let s1 = if pair { d[1].take() } else { None };
-        if d.iter().all(Option::is_none) {
+        let whole = d[1].as_ref().is_none_or(|s1| Self::can_dual_issue(&s0.inst(), &s1.inst()));
+        if whole {
+            self.advance(D, RA);
             self.d_predecoded = false;
         } else {
-            // remainder stays in D as a 1-slot group, already predecoded
-            if d[0].is_none() {
-                d[0] = d[1].take();
-            }
+            // Only the older slot issues; the younger stays in D as a 1-slot
+            // group, already predecoded.
+            let older = d[0].take();
+            d[0] = d[1].take();
+            self.stage_mut(RA)[0] = older;
         }
-        self.stages[RA] = [Some(s0), s1];
         true
     }
 
@@ -751,78 +777,53 @@ impl Core {
     /// Attempts to read all operands of the `RA` group with forwarding.
     /// Returns `false` (stall) when a producer's value is not yet available.
     fn read_operands(&mut self) -> bool {
-        // First check availability for every operand.
-        for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[RA][i].as_ref() else { continue };
-            let inst = slot.inst();
-            for r in [inst.rs1(), inst.rs2()].into_iter().flatten() {
-                if self.forward_value(r).is_none() {
-                    return false;
+        // The bypass network: in-flight producers `(rd, result)`, youngest
+        // first, so the first match for a register is its newest value.
+        let mut producers = [(Reg::ZERO, None); (WB - EX + 1) * PIPE_WIDTH];
+        let mut n = 0;
+        for stage in EX..=WB {
+            for slot in self.stage(stage).iter().rev().flatten() {
+                if let Some(rd) = slot.inst().rd() {
+                    producers[n] = (rd, slot.result);
+                    n += 1;
                 }
             }
         }
-        // All available: perform the reads, driving the port lines.
-        for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[RA][i].as_ref() else { continue };
+        let producers = &producers[..n];
+        // `None`: no producer (read the register file); `Some(None)`: the
+        // producer has no value yet (stall).
+        let producer = |r: Reg| producers.iter().find(|p| p.0 == r).map(|p| p.1);
+
+        let ra = self.stage_buf[RA];
+        let operands = |slot: &Slot| {
             let inst = slot.inst();
-            let rs1 = inst.rs1();
-            let rs2 = inst.rs2();
-            let mut v1 = 0;
-            let mut v2 = 0;
-            if let Some(r) = rs1 {
-                v1 = match self.bypass(r) {
-                    Some(v) => {
-                        // forwarded: the port still observes the read
-                        self.regs.read(2 * i, r);
-                        v
-                    }
-                    None => self.regs.read(2 * i, r),
-                };
+            [inst.rs1(), inst.rs2()]
+        };
+        // First check availability for every operand.
+        let stalled = self.bufs[ra]
+            .iter()
+            .flatten()
+            .flat_map(operands)
+            .flatten()
+            .any(|r| producer(r) == Some(None));
+        if stalled {
+            return false;
+        }
+        // All available: perform the reads, driving the port lines (a
+        // forwarded operand still drives its port).
+        for i in 0..PIPE_WIDTH {
+            let Some(slot) = self.bufs[ra][i].as_ref() else { continue };
+            let mut vals = [0u64; 2];
+            for (j, (val, r)) in vals.iter_mut().zip(operands(slot)).enumerate() {
+                if let Some(r) = r {
+                    let from_file = self.regs.read(2 * i + j, r);
+                    *val = producer(r).flatten().unwrap_or(from_file);
+                }
             }
-            if let Some(r) = rs2 {
-                v2 = match self.bypass(r) {
-                    Some(v) => {
-                        self.regs.read(2 * i + 1, r);
-                        v
-                    }
-                    None => self.regs.read(2 * i + 1, r),
-                };
-            }
-            let s = self.stages[RA][i].as_mut().expect("slot exists");
-            s.rs1_val = v1;
-            s.rs2_val = v2;
+            let s = self.bufs[ra][i].as_mut().expect("slot exists");
+            [s.rs1_val, s.rs2_val] = vals;
         }
         true
-    }
-
-    /// Value of `r` considering in-flight producers; `None` when a producer
-    /// exists but has not produced yet (stall).
-    fn forward_value(&self, r: Reg) -> Option<u64> {
-        if r.is_zero() {
-            return Some(0);
-        }
-        match self.bypass_producer(r) {
-            Some(slot) => slot.result,
-            None => Some(self.regs.peek(r)),
-        }
-    }
-
-    /// The bypass network value for `r` (None = read the register file).
-    fn bypass(&self, r: Reg) -> Option<u64> {
-        self.bypass_producer(r).map(|s| s.result.expect("checked by forward_value"))
-    }
-
-    fn bypass_producer(&self, r: Reg) -> Option<&Slot> {
-        for stage in [EX, ME, XC, WB] {
-            for i in (0..PIPE_WIDTH).rev() {
-                if let Some(slot) = self.stages[stage][i].as_ref() {
-                    if slot.inst().rd() == Some(r) {
-                        return Some(slot);
-                    }
-                }
-            }
-        }
-        None
     }
 
     // ---- execute ------------------------------------------------------------------------
@@ -831,8 +832,9 @@ impl Core {
     fn execute_group(&mut self) -> u32 {
         let mut latency = 1u32;
         let mut redirect: Option<u64> = None;
+        let ex = self.stage_buf[EX];
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[EX][i].as_mut() else { continue };
+            let Some(slot) = self.bufs[ex][i].as_mut() else { continue };
             let inst = slot.inst();
             let pc = slot.pc;
             let (a, b) = (slot.rs1_val, slot.rs2_val);
@@ -917,7 +919,7 @@ impl Core {
     /// every slot has completed.
     fn process_me(&mut self, uncore: &mut Uncore) -> bool {
         for i in 0..PIPE_WIDTH {
-            let Some(slot) = self.stages[ME][i].as_ref() else { continue };
+            let Some(slot) = self.bufs[self.stage_buf[ME]][i].as_ref() else { continue };
             if slot.mem_done {
                 continue;
             }
@@ -938,21 +940,21 @@ impl Core {
                     if !self.sb.is_empty() {
                         return false;
                     }
-                    self.stages[ME][i].as_mut().expect("slot exists").mem_done = true;
+                    self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists").mem_done = true;
                 }
                 _ => {
-                    self.stages[ME][i].as_mut().expect("slot exists").mem_done = true;
+                    self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists").mem_done = true;
                 }
             }
             if self.halted() {
                 return false;
             }
         }
-        self.stages[ME].iter().flatten().all(|s| s.mem_done)
+        self.bufs[self.stage_buf[ME]].iter().flatten().all(|s| s.mem_done)
     }
 
     fn process_load(&mut self, uncore: &mut Uncore, i: usize, kind: LoadKind) -> bool {
-        let slot = self.stages[ME][i].as_ref().expect("slot exists");
+        let slot = self.bufs[self.stage_buf[ME]][i].as_ref().expect("slot exists");
         let (addr, pc) = (slot.eff_addr, slot.pc);
         let size = kind.size();
         if !is_aligned(addr, size) {
@@ -970,7 +972,7 @@ impl Core {
         let window = uncore.mem.read_dword_window(space, addr);
         match self.sb.forward(space, addr, size, window) {
             SbForward::Full(w) => {
-                let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                let slot = self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists");
                 slot.result = Some(load_value(kind, w, addr));
                 slot.mem_done = true;
                 true
@@ -981,11 +983,11 @@ impl Core {
             }
             SbForward::None => {
                 let key = space.fold(self.l1d.line_base(addr));
-                let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                let slot = self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists");
                 if slot.fill_issued {
                     if let Some(BusResult::Done) = uncore.take_done(self.data_port()) {
                         self.l1d.fill(key);
-                        let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                        let slot = self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists");
                         slot.result = Some(load_value(kind, window, addr));
                         slot.mem_done = true;
                         return true;
@@ -1013,11 +1015,11 @@ impl Core {
         addr: u64,
     ) -> bool {
         let port = self.data_port();
-        let issued = self.stages[ME][i].as_ref().expect("slot exists").apb_issued;
+        let issued = self.bufs[self.stage_buf[ME]][i].as_ref().expect("slot exists").apb_issued;
         if issued {
             if let Some(BusResult::ApbData(data)) = uncore.take_done(port) {
                 // APB registers are 64-bit; narrow loads extract their lane.
-                let slot = self.stages[ME][i].as_mut().expect("slot exists");
+                let slot = self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists");
                 slot.result = Some(load_value(kind, data, addr));
                 slot.mem_done = true;
                 return true;
@@ -1027,13 +1029,13 @@ impl Core {
         if uncore.in_flight(port) {
             return false;
         }
-        self.stages[ME][i].as_mut().expect("slot exists").apb_issued = true;
+        self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists").apb_issued = true;
         uncore.request(port, BusOp::ApbRead { addr: addr & !7 });
         false
     }
 
     fn process_store(&mut self, uncore: &mut Uncore, i: usize, kind: StoreKind) -> bool {
-        let slot = self.stages[ME][i].as_ref().expect("slot exists");
+        let slot = self.bufs[self.stage_buf[ME]][i].as_ref().expect("slot exists");
         let (addr, pc, value) = (slot.eff_addr, slot.pc, slot.rs2_val);
         let size = kind.size();
         if !is_aligned(addr, size) {
@@ -1042,10 +1044,10 @@ impl Core {
         }
         if self.cfg.in_apb(addr, size) {
             let port = self.data_port();
-            let issued = self.stages[ME][i].as_ref().expect("slot exists").apb_issued;
+            let issued = self.bufs[self.stage_buf[ME]][i].as_ref().expect("slot exists").apb_issued;
             if issued {
                 if let Some(BusResult::Done) = uncore.take_done(port) {
-                    self.stages[ME][i].as_mut().expect("slot exists").mem_done = true;
+                    self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists").mem_done = true;
                     return true;
                 }
                 return false;
@@ -1053,7 +1055,7 @@ impl Core {
             if uncore.in_flight(port) {
                 return false;
             }
-            self.stages[ME][i].as_mut().expect("slot exists").apb_issued = true;
+            self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists").apb_issued = true;
             uncore.request(port, BusOp::ApbWrite { addr: addr & !7, data: value });
             return false;
         }
@@ -1072,7 +1074,7 @@ impl Core {
             self.stats.sb_full_events += 1;
             return false;
         }
-        let slot = self.stages[ME][i].as_mut().expect("slot exists");
+        let slot = self.bufs[self.stage_buf[ME]][i].as_mut().expect("slot exists");
         slot.mem_done = true;
         true
     }
@@ -1094,8 +1096,8 @@ impl Core {
     fn build_probe(&mut self, hold: bool, committed: u8) {
         let halted = self.halted();
         let p = &mut self.probe;
-        for (wires, group) in p.stages.iter_mut().zip(&self.stages) {
-            for (wire, slot) in wires.iter_mut().zip(group) {
+        for (wires, &b) in p.stages.iter_mut().zip(&self.stage_buf) {
+            for (wire, slot) in wires.iter_mut().zip(&self.bufs[b]) {
                 wire.valid = slot.is_some();
                 if let Some(slot) = slot {
                     wire.raw = slot.raw;
@@ -1349,6 +1351,120 @@ mod tests {
         assert_eq!(trace.len(), 10, "ring keeps only the newest");
         // the last record is the ebreak
         assert!(trace.last().unwrap().to_string().contains("ebreak"));
+    }
+
+    #[test]
+    fn commit_trace_at_capacity_one_keeps_the_last_commit() {
+        let mut a = Asm::new();
+        a.li(Reg::T0, 3);
+        a.addi(Reg::T1, Reg::T0, 1);
+        a.ebreak();
+        let prog = a.link(0x8000_0000).unwrap();
+        let mut soc = MpSoc::new(SocConfig { cores: 1, ..SocConfig::default() });
+        soc.load_program(&prog);
+        soc.core_mut(0).enable_commit_trace(1);
+        assert!(soc.run(100_000).all_clean());
+        let trace = soc.core_mut(0).take_commit_trace();
+        assert_eq!(trace.len(), 1);
+        assert!(trace[0].to_string().contains("ebreak"), "{}", trace[0]);
+    }
+
+    /// A loop with a data-dependent branch, a load, a store, a multiply and
+    /// a divide: it exercises forwarding, split issue, redirects and
+    /// memory stalls.
+    fn busy_loop_soc() -> MpSoc {
+        let mut a = Asm::new();
+        a.li(Reg::T0, 40);
+        a.li(Reg::A0, 0);
+        a.li(Reg::SP, 0x8001_0000);
+        let top = a.here("top");
+        let skip = a.new_label("skip");
+        a.sd(Reg::T0, 0, Reg::SP);
+        a.ld(Reg::T1, 0, Reg::SP);
+        a.mul(Reg::T2, Reg::T1, Reg::T1);
+        a.andi(Reg::T3, Reg::T0, 1);
+        a.beqz(Reg::T3, skip);
+        a.div(Reg::T2, Reg::T2, Reg::T0);
+        a.bind(skip).unwrap();
+        a.add(Reg::A0, Reg::A0, Reg::T2);
+        a.addi(Reg::T0, Reg::T0, -1);
+        a.bnez(Reg::T0, top);
+        a.ebreak();
+        let prog = a.link(0x8000_0000).unwrap();
+        let mut soc = MpSoc::new(SocConfig { cores: 1, ..SocConfig::default() });
+        soc.load_program(&prog);
+        soc
+    }
+
+    #[test]
+    fn stage_map_stays_a_permutation_and_vacated_stages_keep_stale_raw() {
+        let mut soc = busy_loop_soc();
+        let mut prev = *soc.probe(0);
+        let mut vacated = 0;
+        while !soc.core(0).halted() {
+            soc.step();
+            let mut map = soc.core(0).stage_buf;
+            map.sort_unstable();
+            assert_eq!(map, [F, D, RA, EX, ME, XC, WB], "cycle {}", soc.cycle());
+            let p = *soc.probe(0);
+            for (now, before) in p.stages.iter().flatten().zip(prev.stages.iter().flatten()) {
+                if before.valid && !now.valid {
+                    assert_eq!(now.raw, before.raw, "cycle {}", soc.cycle());
+                    vacated += 1;
+                }
+            }
+            prev = p;
+        }
+        assert!(vacated > 100, "the loop must vacate stages ({vacated})");
+        assert!(soc.core(0).stats().dual_commits > 0);
+    }
+
+    /// A core whose seven stages all hold a 2-slot group, stored under a
+    /// non-identity stage map. Slot `(s, i)` has `raw = 10 * s + i` and
+    /// `result = 100 * s + i`.
+    fn core_with_full_stages() -> Core {
+        let mut core = Core::new(0, &SocConfig::default());
+        core.stage_buf = [WB, F, XC, D, ME, RA, EX];
+        for stage in F..=WB {
+            for i in 0..PIPE_WIDTH {
+                let mut slot = Slot::fetched((10 * stage + i) as u32, 0);
+                slot.result = Some((100 * stage + i) as u64);
+                core.stage_mut(stage)[i] = Some(slot);
+            }
+        }
+        core
+    }
+
+    fn occupied(core: &Core) -> Vec<usize> {
+        (F..=WB).filter(|&s| !group_empty(core.stage(s))).collect()
+    }
+
+    #[test]
+    fn flushes_empty_only_their_stages() {
+        let mut core = core_with_full_stages();
+        core.flush_front(0x8000_0000);
+        assert_eq!(occupied(&core), [EX, ME, XC, WB]);
+        for stage in EX..=WB {
+            assert_eq!(core.stage(stage)[1].as_ref().unwrap().raw, (10 * stage + 1) as u32);
+        }
+        core.flush_all();
+        assert_eq!(occupied(&core), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn result_latch_access_follows_the_stage_map() {
+        let mut core = core_with_full_stages();
+        for stage in F..=WB {
+            assert_eq!(core.peek_stage_result(stage, 1), Some((100 * stage + 1) as u64));
+        }
+        assert!(core.flip_stage_result_bit(EX, 0, 3));
+        assert_eq!(core.peek_stage_result(EX, 0), Some((100 * EX) as u64 ^ 8));
+        for stage in (F..=WB).filter(|&s| s != EX) {
+            assert_eq!(core.peek_stage_result(stage, 0), Some(100 * stage as u64));
+        }
+        assert_eq!(core.peek_stage_result(PIPE_STAGES, 0), None);
+        core.stage_mut(ME)[0].as_mut().unwrap().result = None;
+        assert!(!core.flip_stage_result_bit(ME, 0, 3), "no latch, no flip");
     }
 
     #[test]

@@ -121,6 +121,69 @@ fn guest_program_can_poll_safedm_over_apb() {
 }
 
 #[test]
+fn guest_apb_polls_read_the_counters_of_the_previous_cycle() {
+    // Each core polls CYCLES_OBSERVED, NO_DIV_CYCLES and STATUS in a loop
+    // and stores what it read. An APB read returns the bank as mirrored at
+    // the end of the cycle before it completes; the host records that state
+    // with `step()` and checks every polled value against it.
+    use safedm::asm::Asm;
+    use safedm::isa::Reg;
+    use safedm::soc::{BusUnit, MemSpace, PortId};
+    const POLLS: i64 = 12;
+    const BUF: u64 = 0x8010_0000;
+    const POLLED: [usize; 3] = [regmap::CYCLES_OBSERVED, regmap::NO_DIV_CYCLES, regmap::STATUS];
+    let mut a = Asm::new();
+    a.li(Reg::T0, POLLS);
+    a.li(Reg::T1, BUF as i64);
+    a.li(Reg::T2, 0xfc00_0000u32 as i64);
+    let top = a.here("top");
+    for (i, reg) in POLLED.into_iter().enumerate() {
+        a.ld(Reg::A0, reg as i64 * 8, Reg::T2);
+        a.sd(Reg::A0, i as i64 * 8, Reg::T1);
+    }
+    a.mul(Reg::A1, Reg::T0, Reg::T0);
+    a.addi(Reg::T1, Reg::T1, 24);
+    a.addi(Reg::T0, Reg::T0, -1);
+    a.bnez(Reg::T0, top);
+    a.ebreak();
+    let prog = a.link(0x8000_0000).unwrap();
+
+    let mut sys = MonitoredSoc::new(SocConfig::default(), SafeDmConfig::default());
+    sys.load_program(&prog);
+    let data_port = |core| PortId { core, unit: BusUnit::Data };
+    // Per cycle: the polled registers' host-side values at its end, and
+    // whether each core's data port (APB reads only) was busy.
+    let mut states: Vec<([u64; 3], [bool; 2])> = Vec::new();
+    let drained = |sys: &MonitoredSoc| {
+        sys.soc().all_halted() && (0..2).all(|i| sys.soc().core(i).store_buffer_len() == 0)
+    };
+    while !drained(&sys) {
+        assert!(states.len() < 1_000_000, "program must finish");
+        sys.step();
+        let dm = sys.monitor();
+        let c = dm.counters();
+        let status = u64::from(dm.irq_pending()) | (u64::from(dm.finished()) << 1);
+        let busy = [0, 1].map(|i| sys.soc().uncore().in_flight(data_port(i)));
+        states.push(([c.cycles_observed, c.no_div_cycles, status], busy));
+    }
+    for core in 0..2 {
+        // A read completes in the cycle its port goes idle.
+        let expected: Vec<u64> = (1..states.len())
+            .filter(|&n| states[n - 1].1[core] && !states[n].1[core])
+            .enumerate()
+            .map(|(k, n)| states[n - 1].0[k % 3])
+            .collect();
+        assert_eq!(expected.len() as i64, 3 * POLLS, "core {core}: one completion per poll");
+        let mut polled = vec![0u8; expected.len() * 8];
+        sys.soc().mem().read(MemSpace::Private(core), BUF, &mut polled);
+        let polled: Vec<u64> =
+            polled.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect();
+        assert_eq!(polled, expected, "core {core}");
+        assert!(polled[3 * (POLLS as usize - 1)] > polled[0], "core {core}: counters advance");
+    }
+}
+
+#[test]
 fn text_assembled_program_runs_under_the_monitor() {
     // The text front end, the SoC and the monitor compose end to end.
     let prog = safedm::asm::assemble(
