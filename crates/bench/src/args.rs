@@ -3,11 +3,6 @@
 //! `"invalid value for FLAG"` error path, comma-separated lists, hex-aware
 //! integers, `--jobs` resolution and artefact writing.
 //!
-//! Before PR 9 each binary carried its own ad-hoc copies of these helpers
-//! (`arg_u64_or` here, `try_arg_list` there, subtly different error
-//! strings). The old free functions in [`crate::experiments`] remain as
-//! deprecated delegates; new code uses this module.
-//!
 //! Two calling styles, one error format:
 //!
 //! * `Result`-returning cores ([`opt_parsed`], [`parsed_or`], [`opt_u64`],
@@ -18,6 +13,8 @@
 //!
 //! [`check`] / [`check_or_exit`] make a binary's command line strict:
 //! `--help` prints its usage and exits 0, and an unknown flag exits 2.
+//! [`check_target`] does the same for a command that also takes one
+//! positional target (a program file or kernel name).
 
 /// The single error formatter every helper funnels through:
 /// `invalid value for FLAG: \`VALUE\` (expected EXPECTED)`.
@@ -36,17 +33,6 @@ pub fn value(args: &[String], flag: &str) -> Option<String> {
 #[must_use]
 pub fn flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
-}
-
-/// Whether `tok` is the value of some `--flag value` pair (used by
-/// positional-argument scans to skip flag values).
-#[must_use]
-pub fn is_flag_value(args: &[String], tok: &str) -> bool {
-    args.iter()
-        .position(|a| a == tok)
-        .and_then(|i| i.checked_sub(1))
-        .and_then(|i| args.get(i))
-        .is_some_and(|prev| prev.starts_with("--"))
 }
 
 /// Parses a `u64` accepting decimal or `0x`-prefixed hex.
@@ -161,21 +147,48 @@ pub enum Checked {
 ///
 /// Names the first unknown argument, or a valued flag with no value.
 pub fn check(args: &[String], valued: &[&str], bare: &[&str]) -> Result<Checked, String> {
+    scan(args, valued, bare, false).map(|(checked, _)| checked)
+}
+
+/// [`check`] for a command that also takes one positional target: the
+/// first argument that is neither a flag nor a flag's value, returned when
+/// present. A second positional argument is unknown.
+///
+/// # Errors
+///
+/// As [`check`].
+pub fn check_target<'a>(
+    args: &'a [String],
+    valued: &[&str],
+    bare: &[&str],
+) -> Result<(Checked, Option<&'a str>), String> {
+    scan(args, valued, bare, true)
+}
+
+fn scan<'a>(
+    args: &'a [String],
+    valued: &[&str],
+    bare: &[&str],
+    takes_target: bool,
+) -> Result<(Checked, Option<&'a str>), String> {
+    let mut target = None;
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         let arg = arg.as_str();
         if arg == "--help" || arg == "-h" {
-            return Ok(Checked::Help);
+            return Ok((Checked::Help, target));
         }
         if valued.contains(&arg) {
             if rest.next().is_none() {
                 return Err(format!("missing value for {arg}"));
             }
+        } else if takes_target && target.is_none() && !arg.starts_with('-') {
+            target = Some(arg);
         } else if !bare.contains(&arg) {
             return Err(format!("unknown argument `{arg}`"));
         }
     }
-    Ok(Checked::Run)
+    Ok((Checked::Run, target))
 }
 
 /// [`check`] with the bench binaries' tail: on `--help` prints `usage` to
@@ -246,8 +259,6 @@ mod tests {
         assert_eq!(value(&a, "--seed"), None);
         assert!(flag(&a, "--quick"));
         assert!(!flag(&a, "--json"));
-        assert!(is_flag_value(&a, "4"));
-        assert!(!is_flag_value(&a, "bin"));
     }
 
     #[test]
@@ -282,6 +293,21 @@ mod tests {
         assert_eq!(check(&stray, valued, bare), Err("unknown argument `extra`".to_owned()));
         let dangling = args(&["--jobs"]);
         assert_eq!(check(&dangling, valued, bare), Err("missing value for --jobs".to_owned()));
+    }
+
+    #[test]
+    fn check_target_takes_one_positional() {
+        let (valued, bare) = (&["--seed"][..], &["--verify"][..]);
+        let a = args(&["--seed", "7", "fac", "--verify"]);
+        assert_eq!(check_target(&a, valued, bare), Ok((Checked::Run, Some("fac"))));
+        assert_eq!(check_target(&args(&["--verify"]), valued, bare), Ok((Checked::Run, None)));
+        let two = args(&["fac", "bitcount"]);
+        assert_eq!(check_target(&two, valued, bare), Err("unknown argument `bitcount`".to_owned()));
+        let bogus = args(&["fac", "--bogus-flag"]);
+        assert_eq!(
+            check_target(&bogus, valued, bare),
+            Err("unknown argument `--bogus-flag`".to_owned())
+        );
     }
 
     #[test]

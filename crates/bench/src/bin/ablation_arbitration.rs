@@ -82,7 +82,6 @@ fn main() {
             index,
             kernel: name.to_owned(),
             config: format!("arb={policy:?}"),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: 0,
             cycles: r.cycles,

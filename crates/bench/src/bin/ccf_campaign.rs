@@ -25,7 +25,6 @@ use std::fmt::Write as _;
 use safedm_bench::args;
 use safedm_bench::experiments::{ccf_metrics, set_metric_totals, write_metrics_json, Telemetry};
 use safedm_bench::service::CCF_MAX_CYCLE;
-use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_faults::{Campaign, CampaignConfig};
 use safedm_obs::events::CellEvent;
 use safedm_tacle::kernels;
@@ -40,25 +39,16 @@ fn main() {
     args::check_or_exit(&args[1..], USAGE, VALUED, BARE);
     let telemetry = Telemetry::from_args(&args);
 
-    // The campaign inputs route through the shared `safedm-api/1` request
-    // type: the same document `safedm-sim serve` accepts (protocol `ccf`,
-    // `runs` = trials per kernel) and whose digest keys the result cache.
-    let spec = CampaignSpec {
-        protocol: Protocol::Ccf,
-        kernels: ["fac", "bitcount", "iir", "quicksort"].map(str::to_owned).to_vec(),
-        staggers: Vec::new(), // injections sweep cycles, not staggers
-        runs: args::or_exit(args::parsed_or(&args, "--trials", 120)),
-        root_seed: Some(args::or_exit(args::parsed_or(&args, "--seed", 2024))),
-        engine: "cycle".to_owned(),
-        jobs: Some(args::jobs(&args) as u64),
-        keep_timing: telemetry.keep_timing,
-    };
-    args::or_exit(spec.validate());
-    let trials = spec.runs as usize;
-    let seed = spec.root_seed.unwrap_or(2024);
-    let jobs = spec.jobs.map_or(1, |j| j.max(1) as usize);
+    let kernel_names = ["fac", "bitcount", "iir", "quicksort"];
+    let trials: usize = args::or_exit(args::parsed_or(&args, "--trials", 120));
+    if trials == 0 {
+        eprintln!("error: --trials must be >= 1");
+        std::process::exit(2);
+    }
+    let seed: u64 = args::or_exit(args::parsed_or(&args, "--seed", 2024));
+    let jobs = args::jobs(&args);
 
-    let progress = telemetry.progress_for(spec.kernels.len());
+    let progress = telemetry.progress_for(kernel_names.len());
     let mut events: Vec<CellEvent> = Vec::new();
 
     let mut grand_silent_flagged = 0u64;
@@ -70,8 +60,7 @@ fn main() {
     // and render as a final report below.
     let mut rows = String::new();
     let mut per_kernel = Vec::new();
-    for name in &spec.kernels {
-        let name = name.as_str();
+    for name in kernel_names {
         let k = kernels::by_name(name).expect("kernel");
         let stats = Campaign::new(CampaignConfig {
             trials,
@@ -107,7 +96,6 @@ fn main() {
             index: events.len() as u64,
             kernel: name.to_owned(),
             config: format!("trials={trials}"),
-            engine: "cycle".to_owned(),
             run: 0,
             seed,
             cycles: 0,

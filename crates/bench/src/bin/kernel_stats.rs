@@ -89,7 +89,6 @@ fn main() {
             index,
             kernel: k.name.to_owned(),
             config: "single-core".to_owned(),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: 0,
             cycles,

@@ -327,7 +327,6 @@ fn main() -> ExitCode {
             index,
             kernel: cell.kernel.name().to_owned(),
             config: format!("nops={}", cell.stagger),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: cell.seed,
             cycles: r.cycles,

@@ -138,7 +138,6 @@ fn main() {
             index,
             kernel: k.name.to_owned(),
             config: "gate".to_owned(),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: 0,
             cycles,

@@ -65,7 +65,6 @@ fn main() {
             index,
             kernel: "synthetic".to_owned(),
             config: format!("mem={percent}%"),
-            engine: "cycle".to_owned(),
             run: seed,
             seed: 11 + seed,
             cycles,

@@ -7,32 +7,21 @@
 //! EXPERIMENTS.md, "Parallel campaigns").
 //!
 //! Usage: `cargo run -p safedm-bench --bin table1 --release [--quick]
-//! [--jobs N] [--root-seed S] [--engine cycle|fast|hybrid] [--profile]
-//! [--json PATH] [--metrics-out PATH] [--events-out PATH] [--events-timing]
-//! [--progress]`
-//!
-//! `--engine hybrid` runs guarded regions on the cycle-accurate model (the
-//! conservative fast-path default), so its table is byte-identical to
-//! `--engine cycle`; `--engine fast` reports the block-compiled engine's
-//! functional proxies instead (orders of magnitude faster, not
-//! paper-grade — see DESIGN.md §10).
+//! [--jobs N] [--root-seed S] [--profile] [--json PATH] [--metrics-out PATH]
+//! [--events-out PATH] [--events-timing] [--progress]`
 
 use safedm_bench::args;
 use safedm_bench::experiments::{
     render_table1, summarize_table1, table1_cells, table1_events, table1_metrics,
-    table1_rows_from_runs, table1_run_cells_engine, write_metrics_json, Telemetry, TABLE1_NOPS,
+    table1_rows_from_runs, table1_run_cells, write_metrics_json, Telemetry, TABLE1_NOPS,
 };
-use safedm_campaign::spec::{CampaignSpec, Protocol};
 use safedm_core::SafeDmConfig;
 use safedm_obs::SelfProfiler;
-use safedm_soc::Engine;
 use safedm_tacle::kernels;
 
-const USAGE: &str = "usage: table1 [--quick] [--jobs N] [--root-seed S] [--engine \
-    cycle|fast|hybrid] [--profile] [--json PATH] [--metrics-out PATH] \
-    [--events-out PATH] [--events-timing] [--progress]";
-const VALUED: &[&str] =
-    &["--root-seed", "--engine", "--jobs", "--json", "--metrics-out", "--events-out"];
+const USAGE: &str = "usage: table1 [--quick] [--jobs N] [--root-seed S] [--profile] \
+    [--json PATH] [--metrics-out PATH] [--events-out PATH] [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--root-seed", "--jobs", "--json", "--metrics-out", "--events-out"];
 const BARE: &[&str] = &["--quick", "--profile", "--events-timing", "--progress"];
 
 fn main() {
@@ -57,22 +46,7 @@ fn main() {
         all.iter().collect()
     };
 
-    // The campaign inputs route through the shared `safedm-api/1` request
-    // type: the same document `safedm-sim serve` accepts (protocol
-    // `table1`) and whose digest keys the service's result cache.
-    let spec = CampaignSpec {
-        protocol: Protocol::Table1,
-        kernels: selected.iter().map(|k| k.name.to_owned()).collect(),
-        staggers: Vec::new(), // table1 pins its own stagger setups
-        runs: 1,              // likewise its per-setup seed counts
-        root_seed,
-        engine: args::value(&args, "--engine").unwrap_or_else(|| "cycle".to_owned()),
-        jobs: Some(args::jobs(&args) as u64),
-        keep_timing: telemetry.keep_timing,
-    };
-    args::or_exit(spec.validate());
-    let engine = args::or_exit(Engine::parse(&spec.engine));
-    let jobs = spec.jobs.map_or(1, |j| j.max(1) as usize);
+    let jobs = args::jobs(&args);
 
     // Campaign stderr is quiet by default; `--progress` turns on the
     // header and the live status line.
@@ -84,10 +58,9 @@ fn main() {
         );
     }
     let t = std::time::Instant::now();
-    let cells = table1_cells(&selected, spec.root_seed);
+    let cells = table1_cells(&selected, root_seed);
     let progress = telemetry.progress_for(cells.len());
-    let (runs, timings) =
-        table1_run_cells_engine(&cells, SafeDmConfig::default(), jobs, Some(&progress), engine);
+    let (runs, timings) = table1_run_cells(&cells, SafeDmConfig::default(), jobs, Some(&progress));
     progress.finish();
     let mut prof = SelfProfiler::new();
     prof.record("campaign.total", t.elapsed());
@@ -95,7 +68,7 @@ fn main() {
         let nops = TABLE1_NOPS[cell.setup_idx];
         prof.record(&format!("cell.{}.nops{nops}.run{}", cell.kernel.name, cell.run), *dt);
     }
-    telemetry.write_events(&table1_events(&cells, &runs, &timings, engine));
+    telemetry.write_events(&table1_events(&cells, &runs, &timings));
     let rows = table1_rows_from_runs(&selected, &cells, &runs);
     if telemetry.progress {
         eprintln!("table1: finished in {:.1?}", t.elapsed());

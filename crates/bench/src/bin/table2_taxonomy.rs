@@ -95,7 +95,6 @@ fn main() {
             index,
             kernel: name.to_owned(),
             config: "taxonomy".to_owned(),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: 0,
             cycles: r.safedm_cycles,

@@ -16,14 +16,8 @@
 //! stdout is byte-identical for any `--jobs N`.
 //!
 //! Usage: `cargo run -p safedm-bench --bin transform_diversity --release
-//! [--quick] [--jobs N] [--max-cycles N] [--seed S] [--engine cycle|hybrid]
-//! [--events-out PATH] [--events-timing] [--progress]`
-//!
-//! Every cell here *is* a monitor machine-check, so the whole run sits in
-//! a monitor-relevant window: `--engine hybrid` stays on the cycle-accurate
-//! model throughout (its conservative guarded-region rule) and produces
-//! byte-identical output; `--engine fast` has no monitor probes to check
-//! against and is rejected.
+//! [--quick] [--jobs N] [--max-cycles N] [--seed S] [--events-out PATH]
+//! [--events-timing] [--progress]`
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -37,7 +31,7 @@ use safedm_campaign::ConfigGrid;
 use safedm_core::{MonitoredSoc, SafeDmConfig};
 use safedm_isa::Reg;
 use safedm_obs::events::CellEvent;
-use safedm_soc::{Engine, SocConfig};
+use safedm_soc::SocConfig;
 use safedm_tacle::{
     build_kernel_program, build_twin_program, kernels, HarnessConfig, Kernel, StaggerConfig,
     TwinConfig,
@@ -185,8 +179,8 @@ fn run_cell(setup: &Setup, max_cycles: u64) -> CellOut {
 }
 
 const USAGE: &str = "usage: transform_diversity [--quick] [--jobs N] [--max-cycles N] [--seed S] \
-    [--engine cycle|hybrid] [--events-out PATH] [--events-timing] [--progress]";
-const VALUED: &[&str] = &["--jobs", "--max-cycles", "--seed", "--engine", "--events-out"];
+    [--events-out PATH] [--events-timing] [--progress]";
+const VALUED: &[&str] = &["--jobs", "--max-cycles", "--seed", "--events-out"];
 const BARE: &[&str] = &["--quick", "--events-timing", "--progress"];
 
 fn main() -> ExitCode {
@@ -197,25 +191,6 @@ fn main() -> ExitCode {
     let telemetry = Telemetry::from_args(&args);
     let max_cycles = args::or_exit(args::parsed_or::<u64>(&args, "--max-cycles", 20_000_000));
     let seed = args::or_exit(args::parsed_or::<u64>(&args, "--seed", 0x5afe_d1f0));
-    let engine = match args
-        .iter()
-        .position(|a| a == "--engine")
-        .and_then(|i| args.get(i + 1))
-        .map_or(Ok(Engine::Cycle), |v| Engine::parse(v))
-    {
-        Ok(Engine::Fast) => {
-            eprintln!(
-                "transform_diversity: --engine fast has no monitor probes to machine-check; \
-                 use cycle or hybrid"
-            );
-            return ExitCode::FAILURE;
-        }
-        Ok(e) => e,
-        Err(msg) => {
-            eprintln!("transform_diversity: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
 
     let targets: Vec<&'static Kernel> = if quick {
         ["fac", "bitcount", "insertsort"]
@@ -265,7 +240,6 @@ fn main() -> ExitCode {
             index,
             kernel: cell.kernel.name.to_owned(),
             config: cell.stagger.name(),
-            engine: engine.as_str().to_owned(),
             run: 0,
             seed: cell.seed,
             cycles: r.cycles,

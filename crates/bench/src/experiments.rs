@@ -11,7 +11,6 @@ use safedm_core::{IsLayout, MonitoredSoc, ReportMode, SafeDmConfig};
 use safedm_isa::Reg;
 use safedm_obs::events::{CellEvent, Timing};
 use safedm_obs::{MetricsRegistry, MetricsSnapshot, SelfProfiler};
-use safedm_soc::fastpath::{Engine, ExecMode, FastTwin};
 use safedm_soc::SocConfig;
 use safedm_tacle::{build_kernel_program, HarnessConfig, Kernel, StackMode, StaggerConfig};
 
@@ -142,79 +141,6 @@ pub fn run_monitored_prebuilt(
         observed: out.cycles_observed,
         episodes: sys.monitor().no_diversity_history().total_episodes(),
         checksum_ok,
-    }
-}
-
-/// [`run_monitored_prebuilt`]'s functional analogue on the block-compiled
-/// fast engine: a [`FastTwin`] pair over the same image, reporting the
-/// functional monitor proxies described on [`FastTwin::run`]. `ds_match`
-/// and `is_match` are set to the no-diversity proxy (a functional engine
-/// has no per-cycle signatures to compare separately), and `seed` is
-/// recorded but functionally inert — the fast engine models no memory
-/// jitter, which is exactly why its counters are nominal rather than
-/// comparable with the cycle engine's.
-///
-/// # Panics
-///
-/// Panics if the run exceeds [`RUN_BUDGET`] (indicates a model bug).
-#[must_use]
-pub fn run_fast_prebuilt(
-    kernel: &Kernel,
-    prog: &safedm_asm::Program,
-    stagger: Option<StaggerConfig>,
-    seed: u64,
-    mode: ExecMode,
-) -> KernelRunSummary {
-    let mut twin = FastTwin::new(mode);
-    twin.load_program(prog);
-    let out = twin.run(RUN_BUDGET);
-    assert!(!out.timed_out, "{}: fast run exceeded budget", kernel.name);
-    let golden = (kernel.reference)();
-    let checksum_ok = (0..2).all(|c| twin.hart(c).reg(Reg::A0) == golden);
-    KernelRunSummary {
-        name: kernel.name.to_owned(),
-        stagger_nops: stagger.map_or(0, |s| s.nops),
-        delayed_core: stagger.map_or(0, |s| s.delayed_core),
-        seed,
-        cycles: out.cycles,
-        instructions: out.instructions[0],
-        zero_stag: out.zero_stag,
-        no_div: out.no_div,
-        ds_match: out.no_div,
-        is_match: out.no_div,
-        observed: out.observed,
-        episodes: out.episodes,
-        checksum_ok,
-    }
-}
-
-/// One kernel run on the selected engine.
-///
-/// [`Engine::Hybrid`] delegates to the cycle-accurate path: a monitored
-/// kernel run is one guarded region end to end (observation starts at the
-/// first commit and ends at the first halt), and hybrid's conservative
-/// default runs guarded regions on the cycle model — so its monitor
-/// verdicts are byte-identical to [`Engine::Cycle`] by construction.
-/// [`Engine::Fast`] trades monitor fidelity for throughput via
-/// [`run_fast_prebuilt`].
-///
-/// # Panics
-///
-/// Panics if the run exceeds [`RUN_BUDGET`] (indicates a model bug).
-#[must_use]
-pub fn run_engine_prebuilt(
-    engine: Engine,
-    kernel: &Kernel,
-    prog: &safedm_asm::Program,
-    stagger: Option<StaggerConfig>,
-    seed: u64,
-    dm_cfg: SafeDmConfig,
-) -> KernelRunSummary {
-    match engine {
-        Engine::Cycle | Engine::Hybrid => {
-            run_monitored_prebuilt(kernel, prog, stagger, seed, dm_cfg)
-        }
-        Engine::Fast => run_fast_prebuilt(kernel, prog, stagger, seed, ExecMode::Fast),
     }
 }
 
@@ -406,24 +332,11 @@ pub fn table1_run_cells(
     jobs: usize,
     progress: Option<&Progress>,
 ) -> (Vec<KernelRunSummary>, Vec<Duration>) {
-    table1_run_cells_engine(cells, dm_cfg, jobs, progress, Engine::Cycle)
-}
-
-/// [`table1_run_cells`] on the selected engine (see
-/// [`run_engine_prebuilt`] for what each engine means for the counters).
-#[must_use]
-pub fn table1_run_cells_engine(
-    cells: &[Table1CellRun],
-    dm_cfg: SafeDmConfig,
-    jobs: usize,
-    progress: Option<&Progress>,
-    engine: Engine,
-) -> (Vec<KernelRunSummary>, Vec<Duration>) {
     par_map_timed_observed(
         jobs,
         cells,
         |_, cell| {
-            run_engine_prebuilt(engine, cell.kernel, &cell.program, cell.stagger, cell.seed, dm_cfg)
+            run_monitored_prebuilt(cell.kernel, &cell.program, cell.stagger, cell.seed, dm_cfg)
         },
         |i, _| {
             if let Some(p) = progress {
@@ -453,7 +366,6 @@ pub fn table1_events(
     cells: &[Table1CellRun],
     runs: &[KernelRunSummary],
     timings: &[Duration],
-    engine: Engine,
 ) -> Vec<CellEvent> {
     cells
         .iter()
@@ -463,7 +375,6 @@ pub fn table1_events(
             index: cell.index as u64,
             kernel: cell.kernel.name.to_owned(),
             config: format!("nops={}", TABLE1_NOPS[cell.setup_idx]),
-            engine: engine.as_str().to_owned(),
             run: cell.run as u64,
             seed: cell.seed,
             cycles: r.cycles,
@@ -487,7 +398,6 @@ pub fn event_from_summary(index: u64, config: &str, r: &KernelRunSummary) -> Cel
         index,
         kernel: r.name.clone(),
         config: config.to_owned(),
-        engine: "cycle".to_owned(),
         run: 0,
         seed: r.seed,
         cycles: r.cycles,
@@ -662,85 +572,6 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
 #[must_use]
 pub fn dm_config_with_layout(layout: IsLayout) -> SafeDmConfig {
     SafeDmConfig { is_layout: layout, ..SafeDmConfig::default() }
-}
-
-/// Parses `--flag value`-style arguments (tiny helper; no external CLI
-/// crate).
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::value` instead")]
-#[must_use]
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    crate::args::value(args, flag)
-}
-
-/// Whether a bare `--flag` is present.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::flag` instead")]
-#[must_use]
-pub fn arg_flag(args: &[String], flag: &str) -> bool {
-    crate::args::flag(args, flag)
-}
-
-/// Parses the value of `--flag` as a `T`, distinguishing "absent" from
-/// "present but invalid".
-///
-/// # Errors
-///
-/// Returns `Err` with a `"invalid value for FLAG"` message when the flag is
-/// present but its value does not parse.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::opt_parsed` instead")]
-pub fn try_arg_parsed<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<T>, String> {
-    crate::args::opt_parsed(args, flag)
-}
-
-/// `--flag` parsed with a default, exiting with a helpful diagnostic
-/// instead of panicking on an invalid value.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `safedm_bench::args::or_exit(args::parsed_or(..))` instead"
-)]
-pub fn arg_parsed_or<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    crate::args::or_exit(crate::args::parsed_or(args, flag, default))
-}
-
-/// Parses the value of `--flag` as a comma-separated list of `T`,
-/// distinguishing "absent" from "present but invalid". Empty entries
-/// (stray commas, whitespace) are skipped.
-///
-/// # Errors
-///
-/// Returns `Err` with an `"invalid value for FLAG"` message naming the
-/// first entry that does not parse.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::opt_list` instead")]
-pub fn try_arg_list<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-) -> Result<Option<Vec<T>>, String> {
-    crate::args::opt_list(args, flag)
-}
-
-/// Comma-separated `--flag` list exiting with a diagnostic on invalid
-/// values; `None` when the flag is absent (callers pick their own default).
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::list_or_exit` instead")]
-#[must_use]
-pub fn arg_list_or_exit<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<Vec<T>> {
-    crate::args::list_or_exit(args, flag)
-}
-
-/// Writes `contents` to `path`, exiting with a diagnostic on I/O failure.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::write_file_or_exit` instead")]
-pub fn write_file_or_exit(path: &str, contents: &str) {
-    crate::args::write_file_or_exit(path, contents);
-}
-
-/// Resolves `--jobs` for a bench binary: the machine's available
-/// parallelism when absent, a positive integer otherwise; exits with a
-/// helpful diagnostic on invalid values.
-#[deprecated(since = "0.1.0", note = "use `safedm_bench::args::jobs` instead")]
-#[must_use]
-pub fn jobs_from_args(args: &[String]) -> usize {
-    crate::args::jobs(args)
 }
 
 /// The shared telemetry CLI surface: `--events-out FILE` (per-cell event
@@ -943,33 +774,6 @@ mod tests {
     use super::*;
     use safedm_tacle::kernels;
 
-    // The deprecated free functions must stay behaviour-identical to their
-    // `crate::args` replacements until they are removed.
-    #[allow(deprecated)]
-    #[test]
-    fn deprecated_arg_helpers_delegate_to_args() {
-        let args: Vec<String> =
-            ["prog", "--json", "out.json", "--quick"].iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(arg_value(&args, "--json"), crate::args::value(&args, "--json"));
-        assert_eq!(arg_value(&args, "--missing"), None);
-        assert!(arg_flag(&args, "--quick"));
-        assert!(!arg_flag(&args, "--slow"));
-        // flag at the end with no value
-        assert_eq!(arg_value(&args, "--quick"), None);
-        let lists: Vec<String> =
-            ["prog", "--staggers", "0, 100,,1000"].iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(
-            try_arg_list::<u64>(&lists, "--staggers"),
-            crate::args::opt_list::<u64>(&lists, "--staggers")
-        );
-        let bad: Vec<String> =
-            ["prog", "--staggers", "0,ten"].iter().map(|s| (*s).to_owned()).collect();
-        assert_eq!(
-            try_arg_list::<u64>(&bad, "--staggers").unwrap_err(),
-            crate::args::opt_list::<u64>(&bad, "--staggers").unwrap_err()
-        );
-    }
-
     #[test]
     fn telemetry_flags_parse_and_pick_timing() {
         let args: Vec<String> = ["prog", "--events-out", "ev.jsonl", "--progress"]
@@ -992,7 +796,7 @@ mod tests {
         let k = kernels::by_name("fac").expect("kernel");
         let cells = table1_cells(&[k], Some(7));
         let (runs, timings) = table1_run_cells(&cells, SafeDmConfig::default(), 1, None);
-        let events = table1_events(&cells, &runs, &timings, Engine::Cycle);
+        let events = table1_events(&cells, &runs, &timings);
         assert_eq!(events.len(), cells.len());
         assert_eq!(events[0].kernel, "fac");
         assert_eq!(events[0].config, "nops=0");

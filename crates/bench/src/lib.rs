@@ -7,5 +7,4 @@
 
 pub mod args;
 pub mod experiments;
-pub mod http;
 pub mod service;

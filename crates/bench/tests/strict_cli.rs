@@ -3,7 +3,7 @@
 
 use std::process::Command;
 
-const BINS: [&str; 16] = [
+const BINS: [&str; 15] = [
     env!("CARGO_BIN_EXE_ablation_arbitration"),
     env!("CARGO_BIN_EXE_ablation_fifo_depth"),
     env!("CARGO_BIN_EXE_ablation_is_layout"),
@@ -11,7 +11,6 @@ const BINS: [&str; 16] = [
     env!("CARGO_BIN_EXE_ccf_campaign"),
     env!("CARGO_BIN_EXE_diversity_magnitude"),
     env!("CARGO_BIN_EXE_kernel_stats"),
-    env!("CARGO_BIN_EXE_load_test"),
     env!("CARGO_BIN_EXE_overheads"),
     env!("CARGO_BIN_EXE_prove_soundness"),
     env!("CARGO_BIN_EXE_staggering_trace"),

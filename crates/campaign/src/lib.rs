@@ -17,18 +17,9 @@
 //! * [`pool::par_map_timed_observed`] + [`progress::Progress`] — a
 //!   completion observer (fires per cell on the worker thread, in
 //!   scheduling order) driving a throttled stderr progress line; the
-//!   observer sees only measurement, so outputs stay deterministic.
-//!
-//! Since PR 9 the crate also owns the *submission surface* the campaign
-//! service is built on:
-//!
-//! * [`spec::CampaignSpec`] / [`spec::CellSpec`] — the versioned
-//!   (`safedm-api/1`), canonically-serialised request types shared by the
-//!   CLI, the HTTP server and the `safedm-sdk` client, with
-//!   content-address digests salted by code version;
-//! * [`cache::ResultCache`] — a content-addressed LRU (plus optional
-//!   on-disk tier) of serialised cell records, sound to consult precisely
-//!   because of the determinism contract below.
+//!   observer sees only measurement, so outputs stay deterministic;
+//! * [`spec::CampaignSpec`] — the kernel × stagger × run grid request
+//!   `safedm-sim campaign` builds from its flags.
 //!
 //! The determinism contract, spelled out: for a fixed item list and cell
 //! function, `par_map(j, items, f)` returns the same `Vec` for every `j`,
@@ -39,9 +30,8 @@
 //! into metric snapshots (the same separation `safedm-obs` draws for its
 //! wall-clock self-profiler).
 //!
-//! The crate depends only on std and the equally-std-only `safedm-obs`
-//! (for the JSON layer and metric export), so every layer of the workspace
-//! can use it, including `safedm-faults`.
+//! The crate depends only on std, so every layer of the workspace can use
+//! it, including `safedm-faults`.
 //!
 //! ## Example
 //!
@@ -68,19 +58,17 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod grid;
 pub mod pool;
 pub mod progress;
 pub mod seed;
 pub mod spec;
 
-pub use cache::{CacheStats, ResultCache};
 pub use grid::{Cell, ConfigGrid};
 pub use pool::{default_jobs, par_map, par_map_timed, par_map_timed_observed};
 pub use progress::Progress;
 pub use seed::{derive_cell_seed, SplitMix64};
-pub use spec::{CampaignSpec, CellSpec, Protocol};
+pub use spec::CampaignSpec;
 
 /// Parses a `--jobs`-style value: `None` means the machine default, and an
 /// explicit value must be a positive integer.

@@ -316,6 +316,15 @@ pub struct MetricTrend {
     pub last_delta: Option<f64>,
 }
 
+impl MetricTrend {
+    /// Whether the newest baseline no longer has the metric: the suite
+    /// stopped measuring it, so its last step cannot be a regression.
+    #[must_use]
+    pub fn retired(&self) -> bool {
+        self.values.last().is_some_and(Option::is_none)
+    }
+}
+
 /// Computes per-metric trends across a baseline history (metrics ordered
 /// by first appearance).
 #[must_use]
@@ -364,7 +373,6 @@ mod tests {
             index: 0,
             kernel: kernel.to_owned(),
             config: config.to_owned(),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: 1,
             cycles: guarded + 10,

@@ -43,9 +43,6 @@ pub struct CellEvent {
     pub kernel: String,
     /// Config-point description (e.g. `nops=100`, `fifo=8`, `mem=20%`).
     pub config: String,
-    /// Execution engine that produced the cell (`cycle`, `fast` or
-    /// `hybrid`); absent in pre-engine streams, which parse as `cycle`.
-    pub engine: String,
     /// Repeat-run number within the config point.
     pub run: u64,
     /// The cell's derived seed.
@@ -70,14 +67,17 @@ pub struct CellEvent {
 }
 
 impl CellEvent {
-    /// The event as a JSON object with a fixed field order.
+    /// The event as a JSON object with a fixed field order. Every event
+    /// comes from the cycle-accurate monitored model, and the line carries
+    /// that as a constant `"engine":"cycle"` between `config` and `run`, so
+    /// streams stay byte-identical to those written when the key varied.
     #[must_use]
     pub fn to_json(&self, timing: Timing) -> JsonValue {
         let mut members = vec![
             ("index".to_owned(), JsonValue::Uint(self.index)),
             ("kernel".to_owned(), JsonValue::Str(self.kernel.clone())),
             ("config".to_owned(), JsonValue::Str(self.config.clone())),
-            ("engine".to_owned(), JsonValue::Str(self.engine.clone())),
+            ("engine".to_owned(), JsonValue::Str("cycle".to_owned())),
             ("run".to_owned(), JsonValue::Uint(self.run)),
             ("seed".to_owned(), JsonValue::Uint(self.seed)),
             ("cycles".to_owned(), JsonValue::Uint(self.cycles)),
@@ -96,7 +96,9 @@ impl CellEvent {
         JsonValue::Obj(members)
     }
 
-    /// Reconstructs an event from a parsed JSON object.
+    /// Reconstructs an event from a parsed JSON object. The `engine` key is
+    /// ignored, so streams without it and streams that name another engine
+    /// parse alike.
     ///
     /// # Errors
     ///
@@ -119,13 +121,6 @@ impl CellEvent {
             index: uint("index")?,
             kernel: string("kernel")?,
             config: string("config")?,
-            engine: match v.get("engine") {
-                None => "cycle".to_owned(),
-                Some(e) => e
-                    .as_str()
-                    .map(str::to_owned)
-                    .ok_or_else(|| "event field `engine` is not a string".to_owned())?,
-            },
             run: uint("run")?,
             seed: uint("seed")?,
             cycles: uint("cycles")?,
@@ -188,7 +183,6 @@ mod tests {
             index: 3,
             kernel: "bitcount".to_owned(),
             config: "nops=100".to_owned(),
-            engine: "cycle".to_owned(),
             run: 1,
             seed: 0xdead_beef_cafe_f00d,
             cycles: u64::MAX - 1,
@@ -247,15 +241,28 @@ mod tests {
     }
 
     #[test]
-    fn pre_engine_streams_parse_as_cycle() {
-        let doc = to_jsonl(&[sample()], Timing::Strip).replace("\"engine\":\"cycle\",", "");
-        assert!(!doc.contains("engine"));
-        let back = &parse_jsonl(&doc).unwrap()[0];
-        assert_eq!(back.engine, "cycle");
-        // Non-default engines round-trip.
-        let ev = CellEvent { engine: "hybrid".to_owned(), ..sample() };
-        let back = &parse_jsonl(&to_jsonl(std::slice::from_ref(&ev), Timing::Strip)).unwrap()[0];
-        assert_eq!(back.engine, "hybrid");
+    fn event_line_bytes_are_pinned() {
+        let line = to_jsonl(&[sample()], Timing::Strip);
+        assert_eq!(
+            line,
+            "{\"index\":3,\"kernel\":\"bitcount\",\"config\":\"nops=100\",\"engine\":\"cycle\",\
+             \"run\":1,\"seed\":16045690984503111693,\"cycles\":18446744073709551614,\
+             \"guarded\":1152921504606846983,\"zero_stag\":123,\"no_div\":45,\"episodes\":6,\
+             \"violations\":0,\"ok\":true}\n"
+        );
+        // Streams written without the key, or naming another engine, parse
+        // to the same event.
+        let expected = CellEvent { wall_us: None, ..sample() };
+        let no_engine = line.replace("\"engine\":\"cycle\",", "");
+        assert!(!no_engine.contains("engine"));
+        for doc in [
+            line.clone(),
+            no_engine,
+            line.replace("\"engine\":\"cycle\"", "\"engine\":\"hybrid\""),
+            line.replace("\"engine\":\"cycle\"", "\"engine\":\"fast\""),
+        ] {
+            assert_eq!(parse_jsonl(&doc).unwrap(), vec![expected.clone()], "{doc}");
+        }
     }
 
     #[test]

@@ -189,6 +189,7 @@ pub fn render_trend(
             .find_map(|v| *v)
             .map_or_else(|| "-".to_owned(), |v| format!("{v:.3}"));
         let (delta_txt, verdict) = match t.last_delta {
+            _ if t.retired() => ("-".to_owned(), "retired".to_owned()),
             None => ("-".to_owned(), "new".to_owned()),
             Some(d) => {
                 // `d` is signed toward "bad": positive = regression.
@@ -330,6 +331,7 @@ pub fn html_trend(trends: &[MetricTrend], tolerance: f64) -> String {
             .find_map(|v| *v)
             .map_or_else(|| "-".to_owned(), |v| format!("{v:.3}"));
         let (delta_txt, verdict, class) = match t.last_delta {
+            _ if t.retired() => ("-".to_owned(), "retired", ""),
             None => ("-".to_owned(), "new", ""),
             Some(d) => {
                 let txt = format!("{:+.1}%", -d * 100.0 * sign_for_display(&t.better));
@@ -365,7 +367,6 @@ mod tests {
             index: 0,
             kernel: kernel.to_owned(),
             config: config.to_owned(),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: 1,
             cycles: guarded,
@@ -429,6 +430,35 @@ mod tests {
         // Within tolerance → ok, nothing regressed.
         let (_, none) = render_trend(&history, &metric_trends(&[mk(100.0), mk(105.0)]), 0.10);
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn a_metric_missing_from_the_newest_baseline_is_retired_not_gated() {
+        let doc = |metrics: &str| {
+            parse_bench_doc(
+                "BENCH_x.json",
+                &format!(r#"{{"schema":"safedm-bench/1","date":"d","metrics":{{{metrics}}}}}"#),
+            )
+            .unwrap()
+        };
+        let m = |name: &str, v: f64| {
+            format!(r#""{name}":{{"value":{v},"unit":"x","better":"higher"}}"#)
+        };
+        // `gone` regresses by half, then the suite stops measuring it.
+        let history = vec![
+            doc(&format!("{},{}", m("kept", 1.0), m("gone", 10.0))),
+            doc(&format!("{},{}", m("kept", 1.0), m("gone", 5.0))),
+            doc(&m("kept", 1.0)),
+        ];
+        let trends = metric_trends(&history);
+        let (text, regressed) = render_trend(&history, &trends, 0.10);
+        assert!(regressed.is_empty(), "{text}");
+        let gone = text.lines().find(|l| l.starts_with("gone")).unwrap();
+        assert!(gone.ends_with("retired"), "{text}");
+        assert!(!html_trend(&trends, 0.10).contains("regressed"));
+        // Still measured in the newest baseline: the same step gates.
+        let (_, regressed) = render_trend(&history[..2], &metric_trends(&history[..2]), 0.10);
+        assert_eq!(regressed, vec!["gone".to_owned()]);
     }
 
     #[test]

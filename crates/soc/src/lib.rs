@@ -47,7 +47,6 @@ mod bus;
 mod cache;
 mod config;
 mod exit;
-pub mod fastpath;
 mod iss;
 mod mem;
 mod mpsoc;
@@ -63,7 +62,6 @@ pub use bus::{BusOp, BusResult, BusStats, BusUnit, PortId, Uncore, UNITS_PER_COR
 pub use cache::TagCache;
 pub use config::{ArbitrationPolicy, BranchPredictor, CacheConfig, SocConfig};
 pub use exit::{CoreExit, TrapCause};
-pub use fastpath::Engine;
 pub use iss::Iss;
 pub use mem::{MainMemory, MemSpace};
 pub use mpsoc::{MpSoc, RunResult};

@@ -165,34 +165,6 @@ impl MainMemory {
     pub fn allocated_lines(&self) -> usize {
         self.lines.len()
     }
-
-    /// Deterministic digest of all allocated content: FNV-1a over
-    /// `(line index, line bytes)` in ascending line order.
-    ///
-    /// Two memories that saw the same write sequence digest equal; note a
-    /// line explicitly overwritten with zeros digests differently from one
-    /// never allocated, so only compare digests across executions with
-    /// identical allocation behaviour (e.g. two engines running the same
-    /// program).
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        let mut keys: Vec<u64> = self.lines.keys().copied().collect();
-        keys.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mix = |h: &mut u64, b: u8| {
-            *h ^= u64::from(b);
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for k in keys {
-            for b in k.to_le_bytes() {
-                mix(&mut h, b);
-            }
-            for &b in &self.lines[&k] {
-                mix(&mut h, b);
-            }
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -264,20 +236,6 @@ mod tests {
         m.write_masked(MemSpace::Code, LINE - 2, &[1, 2, 3, 4], &[false, false, true, false]);
         assert_eq!(m.allocated_lines(), 1, "only the line holding an enabled byte");
         assert_eq!(m.read_word(MemSpace::Code, LINE), 3);
-    }
-
-    #[test]
-    fn digest_is_pinned() {
-        // FNV-1a over (line index, line bytes) in ascending line order; the
-        // value must not depend on the line map's hasher or layout.
-        let mut m = MainMemory::new();
-        m.write(MemSpace::Code, 0x8000_0000, b"SafeDM");
-        m.write(MemSpace::Private(0), 0x8000_0040 - 3, &[1, 2, 3, 4, 5, 6]);
-        m.write(MemSpace::Private(1), 0x100, &[0xff; 70]);
-        m.write_masked(MemSpace::Code, 0x2000, &[9, 8, 7, 6], &[false, true, false, true]);
-        m.write_masked(MemSpace::Code, 0x3000, &[1, 2], &[false, false]);
-        assert_eq!(m.allocated_lines(), 6);
-        assert_eq!(m.digest(), 0x0733_5884_5fe0_1f58);
     }
 
     #[test]

@@ -1,15 +1,13 @@
 //! Golden cycle-by-cycle pipeline traces — the model's substitute for the
 //! paper's Modelsim inspection (Section V-A): pin the exact stage occupancy
-//! pattern of small programs (and the fast path's hybrid switch trace) as
-//! file fixtures under `tests/golden/`, so timing regressions show up as a
-//! readable diff. Regenerate deliberately with `BLESS_GOLDEN=1 cargo test
-//! -p safedm-soc --test golden_pipeline`.
+//! pattern of small programs as file fixtures under `tests/golden/`, so
+//! timing regressions show up as a readable diff. Regenerate deliberately
+//! with `BLESS_GOLDEN=1 cargo test -p safedm-soc --test golden_pipeline`.
 
 use std::path::PathBuf;
 
 use safedm_asm::Asm;
 use safedm_isa::Reg;
-use safedm_soc::fastpath::{ExecMode, FastIss};
 use safedm_soc::{MpSoc, SocConfig, PIPE_STAGES};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -172,30 +170,4 @@ fn taken_backward_branch_has_single_fetch_bubble() {
     assert_eq!(stats.mispredicts, 1, "only the loop exit mispredicts");
     // Steady-state loop cost: ≲4 cycles per 2-instruction iteration.
     assert!(stats.cycles < 64 * 4 + 120, "loop iterations too slow: {} cycles", stats.cycles);
-}
-
-#[test]
-fn hybrid_switch_trace_is_golden() {
-    // A hot loop behind a cold prologue: the hybrid engine interprets the
-    // loop block until it crosses the heat threshold, then compiles it —
-    // every interp↔compiled edge lands in the switch trace, pinned here so
-    // a change in switch placement (the soundness-relevant decision) shows
-    // up as a diff.
-    let mut a = Asm::new();
-    a.li(Reg::T0, 12);
-    a.li(Reg::T1, 0);
-    let top = a.here("top");
-    a.addi(Reg::T1, Reg::T1, 3);
-    a.addi(Reg::T0, Reg::T0, -1);
-    a.bnez(Reg::T0, top);
-    a.ebreak();
-    let prog = a.link(0x8000_0000).unwrap();
-
-    let mut f = FastIss::new(0, ExecMode::Hybrid { hot_threshold: 4 });
-    f.load_program(&prog);
-    f.run(10_000);
-    assert_eq!(f.reg(Reg::T1), 36, "hybrid run computed the wrong sum");
-    let trace = f.render_switch_trace();
-    assert!(trace.contains("-> compiled"), "loop never went hot:\n{trace}");
-    check_golden("hybrid_switch_trace.txt", &trace);
 }

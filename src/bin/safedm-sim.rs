@@ -19,10 +19,9 @@
 //! metric snapshot, optionally with a wall-clock self-profile.
 //!
 //! ```text
-//! safedm-sim program.s [--base 0x80000000] [--stagger N [--delayed-core C]]
-//!            [--engine cycle|fast|hybrid]
+//! safedm-sim program.s [--base 0x80000000]
 //!            [--vcd out.vcd [--vcd-cycles N]] [--trace N] [--json]
-//! safedm-sim --kernel bitcount [...]
+//! safedm-sim --kernel bitcount [--stagger N [--delayed-core C]] [...]
 //! safedm-sim analyze <program.s | --kernel NAME> [--stagger N] [--gate]
 //!            [--deny IDS] [--warn IDS] [--allow IDS]
 //!            [--sarif FILE] [--baseline FILE] [--write-baseline FILE]
@@ -34,33 +33,23 @@
 //! safedm-sim trace <kernel | program.s> [--cycles N] [--out FILE] [--jsonl]
 //! safedm-sim stats <kernel | program.s> [--cycles N] [--json] [--profile]
 //! safedm-sim campaign [--kernels a,b] [--staggers 0,100] [--runs N]
-//!            [--root-seed S] [--jobs N] [--engine cycle|fast|hybrid]
-//!            [--json] [--profile]
+//!            [--root-seed S] [--jobs N] [--json] [--profile]
 //!            [--events-out FILE [--events-timing]] [--progress]
-//! safedm-sim serve [--addr HOST:PORT] [--jobs N]
-//!            [--cache-cap N] [--cache-dir DIR]
 //! safedm-sim report --events FILE [--metrics FILE] [--bench-dir DIR]
 //!            [--html FILE] [--top N] [--tolerance F]
 //! safedm-sim --list-kernels
 //! ```
 //!
-//! `--engine` selects the execution engine (see `safedm_soc::fastpath`):
-//! `cycle` (default) is the cycle-accurate monitored model; `fast` is the
-//! block-compiled functional twin with 1-IPC proxy counters; `hybrid`
-//! block-compiles only outside monitor-relevant windows, so monitored runs
-//! stay byte-identical to `cycle`.
+//! Every run is on the cycle-accurate monitored model. The command line is
+//! strict: each subcommand accepts only the flags it reads (plus its one
+//! positional target where it takes one); anything else prints the usage
+//! to stderr and exits 2, and `--help` prints it to stdout and exits 0.
 //!
-//! The `campaign` subcommand builds a `safedm-api/1`
-//! [`CampaignSpec`](safedm::campaign::spec) from its flags and executes it
-//! through the shared campaign service (`safedm_bench::service`): per-cell
-//! seeds derive from `--root-seed` and the cell index alone, and results
-//! collect in grid order, so the output is byte-identical for every
-//! `--jobs N`. The `serve` subcommand exposes the same engine over a
-//! dependency-free HTTP/1.1 surface (`POST /v1/campaigns`, chunked
-//! `GET /v1/campaigns/{id}/events`, `GET /v1/campaigns/{id}/result`,
-//! `GET /v1/healthz`) with a content-addressed result cache in front —
-//! repeated cells replay their stored bytes without re-simulation (see
-//! DESIGN.md §11; the `safedm-sdk` crate is the matching client).
+//! The `campaign` subcommand builds a
+//! [`CampaignSpec`](safedm::campaign::spec) grid from its flags and runs it
+//! through the grid runner (`safedm_bench::service`): per-cell seeds derive
+//! from `--root-seed` and the cell index alone, and results collect in grid
+//! order, so the output is byte-identical for every `--jobs N`.
 //! `--events-out` additionally writes one [`safedm::obs::events`] JSONL
 //! record per cell (also byte-identical across `--jobs`; per-cell
 //! wall-clock is stripped unless `--events-timing` opts in), and
@@ -80,30 +69,27 @@ use safedm::analysis::baseline::{Baseline, BaselineFilter};
 use safedm::analysis::{analyze, sarif, AnalysisConfig, Diagnostic, LintLevels, Severity};
 use safedm::asm::transform::TransformConfig;
 use safedm::asm::Program;
-use safedm::campaign::spec::{CampaignSpec, Protocol};
+use safedm::campaign::spec::CampaignSpec;
 use safedm::campaign::Progress;
 use safedm::monitor::{MonitoredSoc, ObsConfig, ReportMode, RunObserver, SafeDmConfig};
 use safedm::obs::events::{CellEvent, Timing};
 use safedm::obs::json::JsonValue;
 use safedm::obs::SelfProfiler;
-use safedm::soc::fastpath::{ExecMode, FastTwin};
-use safedm::soc::{Engine, ProbeVcd, SocConfig};
+use safedm::soc::{ProbeVcd, SocConfig};
 use safedm::tacle::{
     build_kernel_program, build_twin_pair, build_twin_program, kernels, HarnessConfig,
     StaggerConfig, TwinConfig,
 };
-use safedm_bench::http::{ServeConfig, Server};
-use safedm_bench::{args, service};
+use safedm_bench::args::{self, Checked};
+use safedm_bench::service;
 
 // Argument parsing lives in `safedm_bench::args` — the one parser shared
-// by this CLI and every bench binary (PR 9 replaced the per-binary
-// copies). `args::value`, `args::flag`, `args::u64_or`, … below all refer
-// to that module.
+// by this CLI and every bench binary. `args::value`, `args::flag`,
+// `args::u64_or`, … below all refer to that module.
 
 fn usage() -> &'static str {
     "usage: safedm-sim <program.s | --kernel NAME | --list-kernels>\n\
      \x20      [--base ADDR] [--stagger NOPS [--delayed-core 0|1]]\n\
-     \x20      [--engine cycle|fast|hybrid]\n\
      \x20      [--vcd FILE [--vcd-cycles N]] [--trace N] [--max-cycles N] [--json]\n\
      \x20      safedm-sim analyze <program.s | --kernel NAME | --kernel all>\n\
      \x20      [--base ADDR] [--stagger NOPS] [--gate] [--prove] [--max-cycles N]\n\
@@ -117,35 +103,146 @@ fn usage() -> &'static str {
      \x20      [--check BASELINE [--tolerance F]]\n\
      \x20      [--history [--bench-dir DIR] [--tolerance F]]\n\
      \x20      safedm-sim trace <kernel | program.s>\n\
-     \x20      [--cycles N] [--out FILE] [--jsonl] [--events N] [--interval N]\n\
+     \x20      [--base ADDR] [--cycles N] [--out FILE] [--jsonl] [--events N] [--interval N]\n\
      \x20      safedm-sim stats <kernel | program.s>\n\
-     \x20      [--cycles N] [--json] [--metrics-out FILE] [--profile] [--interval N]\n\
+     \x20      [--base ADDR] [--cycles N] [--json] [--metrics-out FILE] [--profile]\n\
+     \x20      [--events N] [--interval N]\n\
      \x20      safedm-sim campaign\n\
      \x20      [--kernels a,b,..] [--staggers 0,100,..] [--runs N]\n\
-     \x20      [--root-seed S] [--jobs N] [--engine cycle|fast|hybrid]\n\
-     \x20      [--json] [--profile]\n\
+     \x20      [--root-seed S] [--jobs N] [--json] [--profile]\n\
      \x20      [--events-out FILE [--events-timing]] [--progress]\n\
-     \x20      safedm-sim serve\n\
-     \x20      [--addr HOST:PORT] [--jobs N] [--cache-cap N] [--cache-dir DIR]\n\
      \x20      safedm-sim report --events FILE\n\
      \x20      [--metrics FILE] [--bench-dir DIR] [--html FILE]\n\
      \x20      [--top N] [--tolerance F]"
 }
 
+/// One command line's shape: the valued and bare flags it reads, and
+/// whether it takes a positional target.
+struct Flags {
+    valued: &'static [&'static str],
+    bare: &'static [&'static str],
+    target: bool,
+}
+
+/// The top-level run: a program file or `--kernel NAME`.
+const RUN_FLAGS: Flags = Flags {
+    valued: &[
+        "--kernel",
+        "--base",
+        "--stagger",
+        "--delayed-core",
+        "--max-cycles",
+        "--vcd",
+        "--vcd-cycles",
+        "--trace",
+    ],
+    bare: &["--json", "--list-kernels"],
+    target: true,
+};
+
+/// Every subcommand with the flags it reads.
+const SUBCOMMANDS: [(&str, Flags); 7] = [
+    (
+        "analyze",
+        Flags {
+            valued: &[
+                "--kernel",
+                "--base",
+                "--stagger",
+                "--max-cycles",
+                "--seed",
+                "--level",
+                "--deny",
+                "--warn",
+                "--allow",
+                "--sarif",
+                "--baseline",
+                "--write-baseline",
+            ],
+            bare: &["--gate", "--prove", "--pair"],
+            target: true,
+        },
+    ),
+    (
+        "transform",
+        Flags { valued: &["--kernel", "--seed", "--level"], bare: &["--verify"], target: true },
+    ),
+    (
+        "bench",
+        Flags {
+            valued: &["--out", "--date", "--check", "--tolerance", "--bench-dir"],
+            bare: &["--quick", "--history"],
+            target: false,
+        },
+    ),
+    (
+        "trace",
+        Flags {
+            valued: &["--base", "--cycles", "--out", "--events", "--interval"],
+            bare: &["--jsonl"],
+            target: true,
+        },
+    ),
+    (
+        "stats",
+        Flags {
+            valued: &["--base", "--cycles", "--metrics-out", "--events", "--interval"],
+            bare: &["--json", "--profile"],
+            target: true,
+        },
+    ),
+    (
+        "campaign",
+        Flags {
+            valued: &["--kernels", "--staggers", "--runs", "--root-seed", "--jobs", "--events-out"],
+            bare: &["--json", "--profile", "--events-timing", "--progress"],
+            target: false,
+        },
+    ),
+    (
+        "report",
+        Flags {
+            valued: &["--events", "--metrics", "--bench-dir", "--html", "--top", "--tolerance"],
+            bare: &[],
+            target: false,
+        },
+    ),
+];
+
+/// Checks `args` (the subcommand name excluded) against `flags`. The
+/// top-level run's target must be an existing program file and excludes
+/// `--kernel`, so a retired or misspelt subcommand is an unknown argument.
+fn check_args<'a>(
+    sub: Option<&str>,
+    flags: &Flags,
+    args: &'a [String],
+) -> Result<(Checked, Option<&'a str>), String> {
+    let (checked, target) = if flags.target {
+        args::check_target(args, flags.valued, flags.bare)?
+    } else {
+        (args::check(args, flags.valued, flags.bare)?, None)
+    };
+    if let (None, Checked::Run, Some(t)) = (sub, checked, target) {
+        if args::value(args, "--kernel").is_some() || !std::path::Path::new(t).is_file() {
+            return Err(format!(
+                "unknown argument `{t}` (expected a subcommand or a program file)"
+            ));
+        }
+    }
+    Ok((checked, target))
+}
+
 /// Resolves the positional target of a subcommand: a built-in kernel name
 /// first, then a RISC-V source file path.
-fn resolve_target(args: &[String], base: u64) -> Result<(String, Program), String> {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !args::is_flag_value(args, a))
-        .ok_or_else(|| usage().to_owned())?;
+fn resolve_target(target: Option<&str>, base: u64) -> Result<(String, Program), String> {
+    let target = target.ok_or_else(|| usage().to_owned())?;
     if let Some(k) = kernels::by_name(target) {
-        return Ok((target.clone(), build_kernel_program(k, &HarnessConfig::default())));
+        return Ok((target.to_owned(), build_kernel_program(k, &HarnessConfig::default())));
     }
     let source =
         std::fs::read_to_string(target).map_err(|e| format!("cannot read {target}: {e}"))?;
     let prog = safedm::asm::assemble(&source, base).map_err(|e| e.to_string())?;
-    Ok((target.clone(), prog))
+    Ok((target.to_owned(), prog))
 }
 
 /// A short name usable in default output filenames (`path/to/x.s` → `x`).
@@ -158,13 +255,14 @@ fn file_stem(name: &str) -> String {
 /// Runs a program under the monitor with a [`RunObserver`] attached.
 fn observed_run(
     args: &[String],
+    target: Option<&str>,
     profile: Option<&mut SelfProfiler>,
 ) -> Result<(String, MonitoredSoc, RunObserver), String> {
     let base = args::u64_or(args, "--base", 0x8000_0000)?;
     let max_cycles = args::u64_or(args, "--cycles", 500_000_000)?;
     let events = args::u64_or(args, "--events", 1 << 16)?;
     let interval = args::u64_or(args, "--interval", 64)?.max(1);
-    let (name, prog) = resolve_target(args, base)?;
+    let (name, prog) = resolve_target(target, base)?;
 
     let mut sys = MonitoredSoc::new(
         SocConfig::default(),
@@ -202,8 +300,8 @@ fn observed_run(
 
 /// The `trace` subcommand: run under the observer and write the event
 /// timeline as Chrome trace-event JSON (default) or JSONL.
-fn run_trace(args: &[String]) -> Result<(), String> {
-    let (name, _sys, obs) = observed_run(args, None)?;
+fn run_trace(args: &[String], target: Option<&str>) -> Result<(), String> {
+    let (name, _sys, obs) = observed_run(args, target, None)?;
     let jsonl = args::flag(args, "--jsonl");
     let out = args::value(args, "--out").unwrap_or_else(|| {
         format!("{}.trace.{}", file_stem(&name), if jsonl { "jsonl" } else { "json" })
@@ -220,10 +318,10 @@ fn run_trace(args: &[String]) -> Result<(), String> {
 
 /// The `stats` subcommand: run under the observer and print the metric
 /// snapshot (human table or JSON), optionally with a self-profile.
-fn run_stats(args: &[String]) -> Result<(), String> {
+fn run_stats(args: &[String], target: Option<&str>) -> Result<(), String> {
     let mut prof = SelfProfiler::new();
     let profile = args::flag(args, "--profile");
-    let (name, _sys, obs) = observed_run(args, profile.then_some(&mut prof))?;
+    let (name, _sys, obs) = observed_run(args, target, profile.then_some(&mut prof))?;
     let snap = obs.metrics_snapshot();
     if let Some(path) = args::value(args, "--metrics-out") {
         std::fs::write(&path, snap.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -413,7 +511,7 @@ fn run_analyze_pair(args: &[String]) -> Result<(), String> {
 /// abstract-interpretation prover and prints per-loop minimum-safe-stagger
 /// certificates; `--kernel all` proves every built-in kernel (one summary
 /// line each), which is what the CI smoke test drives.
-fn run_analyze(args: &[String]) -> Result<(), String> {
+fn run_analyze(args: &[String], target: Option<&str>) -> Result<(), String> {
     let base = args::u64_or(args, "--base", 0x8000_0000)?;
     let stagger_nops = args::opt_u64(args, "--stagger")?;
     let max_cycles = args::u64_or(args, "--max-cycles", 500_000_000)?;
@@ -458,14 +556,11 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
         let prog = build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() });
         (kname, prog, phase)
     } else {
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--") && *a != "analyze" && !args::is_flag_value(args, a))
-            .ok_or_else(|| usage().to_owned())?;
+        let path = target.ok_or_else(|| usage().to_owned())?;
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let prog = safedm::asm::assemble(&source, base).map_err(|e| e.to_string())?;
-        (path.clone(), prog, 0)
+        (path.to_owned(), prog, 0)
     };
 
     let cfg = AnalysisConfig {
@@ -507,10 +602,7 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the shared [`CampaignSpec`] from `campaign` CLI flags — the
-/// same `safedm-api/1` request document `safedm-sim serve` accepts over
-/// HTTP and `safedm-sdk` submits, so all three front-ends drive the one
-/// entry point in [`safedm_bench::service`].
+/// Builds the [`CampaignSpec`] grid from `campaign` CLI flags.
 fn campaign_spec_from_args(args: &[String]) -> Result<CampaignSpec, String> {
     let kernels_arg = args::value(args, "--kernels").unwrap_or_else(|| "bitcount,fac".to_owned());
     let kernel_names: Vec<String> = kernels_arg
@@ -520,27 +612,23 @@ fn campaign_spec_from_args(args: &[String]) -> Result<CampaignSpec, String> {
         .map(str::to_owned)
         .collect();
     Ok(CampaignSpec {
-        protocol: Protocol::Grid,
         kernels: kernel_names,
         staggers: args::opt_list::<u64>(args, "--staggers")?.unwrap_or_else(|| vec![0, 100]),
         runs: args::u64_or(args, "--runs", 2)?.max(1),
-        root_seed: Some(args::u64_or(args, "--root-seed", 2024)?),
-        engine: args::value(args, "--engine").unwrap_or_else(|| "cycle".to_owned()),
-        jobs: Some(safedm::campaign::parse_jobs(args::value(args, "--jobs").as_deref())? as u64),
-        keep_timing: args::flag(args, "--events-timing"),
+        root_seed: args::u64_or(args, "--root-seed", 2024)?,
+        jobs: safedm::campaign::parse_jobs(args::value(args, "--jobs").as_deref())?,
     })
 }
 
 /// The `campaign` subcommand: build a [`CampaignSpec`] from the flags and
-/// execute it through the shared campaign service ([`safedm_bench::service`])
-/// — the exact engine `safedm-sim serve` exposes over HTTP. Telemetry —
+/// run it through the grid runner ([`safedm_bench::service`]). Telemetry —
 /// the `--events-out` stream and the `--progress` stderr line — observes
 /// the campaign but never steers it: the event stream is byte-identical
 /// for every `--jobs N` (wall-clock is stripped unless `--events-timing`).
 fn run_campaign(args: &[String]) -> Result<(), String> {
     let spec = campaign_spec_from_args(args)?;
     let events_out = args::value(args, "--events-out");
-    let timing = if spec.keep_timing { Timing::Keep } else { Timing::Strip };
+    let timing = if args::flag(args, "--events-timing") { Timing::Keep } else { Timing::Strip };
     let show_progress = args::flag(args, "--progress");
 
     let prepared = service::prepare(&spec)?;
@@ -549,12 +637,11 @@ fn run_campaign(args: &[String]) -> Result<(), String> {
             "campaign: {} cells on {} worker(s), root seed {}",
             prepared.cells.len(),
             prepared.jobs,
-            spec.root_seed.unwrap_or_default()
+            spec.root_seed
         );
     }
     let progress = Progress::new(show_progress, prepared.cells.len());
-    let opts = service::RunOptions { progress: Some(&progress), ..service::RunOptions::default() };
-    let outcome = service::run(&prepared, &opts)?;
+    let outcome = service::run(&prepared, Some(&progress));
     progress.finish();
 
     if let Some(path) = &events_out {
@@ -630,30 +717,6 @@ fn run_campaign(args: &[String]) -> Result<(), String> {
     if !outcome.all_ok {
         return Err("one or more campaign cells failed their self-check".to_owned());
     }
-    Ok(())
-}
-
-/// The `serve` subcommand: bind the campaign service and serve forever.
-/// `POST /v1/campaigns` accepts the same [`CampaignSpec`] document the
-/// `campaign` subcommand builds from its flags; `GET
-/// /v1/campaigns/{id}/events` streams the byte-identical JSONL event
-/// lines; results are content-addressed-cached across submissions.
-fn run_serve(args: &[String]) -> Result<(), String> {
-    let cfg = ServeConfig {
-        addr: args::value(args, "--addr").unwrap_or_else(|| "127.0.0.1:8787".to_owned()),
-        jobs: safedm::campaign::parse_jobs(args::value(args, "--jobs").as_deref())?,
-        cache_cap: args::u64_or(args, "--cache-cap", 4096)?.max(1) as usize,
-        cache_dir: args::value(args, "--cache-dir"),
-    };
-    let server = Server::bind(&cfg)?;
-    let disk = cfg.cache_dir.as_deref().map(|d| format!(", disk tier {d}")).unwrap_or_default();
-    eprintln!(
-        "safedm-sim serve: listening on {} ({} worker(s), cache cap {}{disk})",
-        server.local_addr()?,
-        cfg.jobs,
-        cfg.cache_cap
-    );
-    server.run();
     Ok(())
 }
 
@@ -736,13 +799,11 @@ fn run_report(args: &[String]) -> Result<(), String> {
 /// a kernel (or `all`), and with `--verify` differentially check the twin
 /// on the ISS — the variant must produce the reference checksum and retire
 /// exactly `overhead_insts` more instructions than the original.
-fn run_transform(args: &[String]) -> Result<(), String> {
+fn run_transform(args: &[String], target: Option<&str>) -> Result<(), String> {
     let tcfg = twin_config(args)?;
     let verify = args::flag(args, "--verify");
     let kname = args::value(args, "--kernel")
-        .or_else(|| {
-            args.iter().find(|a| !a.starts_with("--") && !args::is_flag_value(args, a)).cloned()
-        })
+        .or_else(|| target.map(str::to_owned))
         .ok_or_else(|| "transform needs a kernel name or `all` (see --list-kernels)".to_owned())?;
     let list: Vec<&safedm::tacle::Kernel> = if kname == "all" {
         kernels::all().iter().collect()
@@ -926,9 +987,7 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     }
 
     // 2. Table-1-style stagger sweep wall-clock: bitcount across the four
-    //    canonical nop staggers, on the cycle-accurate monitored model and
-    //    on the block-compiled fast engine over the *same* pre-built
-    //    programs, plus the headline speedup ratio between the two.
+    //    canonical nop staggers on the monitored model.
     {
         let k = kernels::by_name("bitcount").expect("pinned kernel exists");
         let golden = (k.reference)();
@@ -939,31 +998,15 @@ fn run_bench(args: &[String]) -> Result<(), String> {
                 build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() })
             })
             .collect();
-        let mut cycle_best = f64::INFINITY;
+        let mut best = f64::INFINITY;
         for _ in 0..reps {
             let t = Instant::now();
             for prog in &progs {
                 monitored_run(prog, golden)?;
             }
-            cycle_best = cycle_best.min(t.elapsed().as_secs_f64());
+            best = best.min(t.elapsed().as_secs_f64());
         }
-        metrics.push(("table1_wall_ms".to_owned(), cycle_best * 1e3, "ms", "lower"));
-        let mut fast_best = f64::INFINITY;
-        for _ in 0..reps {
-            let t = Instant::now();
-            for prog in &progs {
-                let mut twin = FastTwin::new(ExecMode::Fast);
-                twin.load_program(prog);
-                let out = twin.run(500_000_000);
-                if out.timed_out || (0..2).any(|c| twin.hart(c).reg(safedm::isa::Reg::A0) != golden)
-                {
-                    return Err("bench fast-engine run failed its checksum".to_owned());
-                }
-            }
-            fast_best = fast_best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push(("table1_fast_wall_ms".to_owned(), fast_best * 1e3, "ms", "lower"));
-        metrics.push(("fastpath_speedup_table1".to_owned(), cycle_best / fast_best, "x", "higher"));
+        metrics.push(("table1_wall_ms".to_owned(), best * 1e3, "ms", "lower"));
     }
 
     // 3. Stagger-prover latency: analyze + prove every built-in kernel.
@@ -1073,61 +1116,23 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args::flag(&args, "--help") {
-        println!("{}", usage());
-        return Ok(());
-    }
-    if args::flag(&args, "--list-kernels") {
-        for k in kernels::all() {
-            println!("{}", k.name);
-        }
-        return Ok(());
-    }
-    if args.first().is_some_and(|a| a == "analyze") {
-        return run_analyze(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "trace") {
-        return run_trace(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "stats") {
-        return run_stats(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "campaign") {
-        return run_campaign(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "serve") {
-        return run_serve(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "transform") {
-        return run_transform(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "bench") {
-        return run_bench(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "report") {
-        return run_report(&args[1..]);
-    }
-
-    let base = args::u64_or(&args, "--base", 0x8000_0000)?;
-    let delayed_core = args::u64_or(&args, "--delayed-core", 1)? as usize;
-    let stagger = args::opt_u64(&args, "--stagger")?
+/// The top-level run: a program file or built-in kernel, executed
+/// redundantly under the monitor, with an optional VCD and commit trace.
+fn run_program(args: &[String], target: Option<&str>) -> Result<(), String> {
+    let base = args::u64_or(args, "--base", 0x8000_0000)?;
+    let delayed_core = args::u64_or(args, "--delayed-core", 1)? as usize;
+    let stagger = args::opt_u64(args, "--stagger")?
         .map(|nops| StaggerConfig { nops: nops as usize, delayed_core });
-    let max_cycles = args::u64_or(&args, "--max-cycles", 500_000_000)?;
-    let engine = args::value(&args, "--engine").map_or(Ok(Engine::Cycle), |v| Engine::parse(&v))?;
+    let max_cycles = args::u64_or(args, "--max-cycles", 500_000_000)?;
 
     // Program source: a file path or a built-in kernel.
-    let (name, prog, golden) = if let Some(kname) = args::value(&args, "--kernel") {
+    let (name, prog, golden) = if let Some(kname) = args::value(args, "--kernel") {
         let k = kernels::by_name(&kname)
             .ok_or_else(|| format!("unknown kernel `{kname}` (see --list-kernels)"))?;
         let prog = build_kernel_program(k, &HarnessConfig { stagger, ..HarnessConfig::default() });
         (kname, prog, Some((k.reference)()))
     } else {
-        let path = args
-            .iter()
-            .find(|a| !a.starts_with("--") && !args::is_flag_value(&args, a))
-            .ok_or_else(|| usage().to_owned())?;
+        let path = target.ok_or_else(|| usage().to_owned())?;
         if stagger.is_some() {
             return Err("--stagger is only supported with --kernel (the harness builds the sled)"
                 .to_owned());
@@ -1135,51 +1140,9 @@ fn run() -> Result<(), String> {
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let prog = safedm::asm::assemble(&source, base).map_err(|e| e.to_string())?;
-        (path.clone(), prog, None)
+        (path.to_owned(), prog, None)
     };
 
-    if engine == Engine::Fast {
-        // Block-compiled functional twin: no pipeline, no monitor probes —
-        // instruction-count proxies stand in for the per-cycle verdicts.
-        if args::value(&args, "--vcd").is_some() || args::opt_u64(&args, "--trace")?.is_some() {
-            return Err(
-                "--vcd/--trace need the pipeline model; use --engine cycle or hybrid".to_owned()
-            );
-        }
-        let mut twin = FastTwin::new(ExecMode::Fast);
-        twin.load_program(&prog);
-        let out = twin.run(max_cycles);
-        let a0 = [twin.hart(0).reg(safedm::isa::Reg::A0), twin.hart(1).reg(safedm::isa::Reg::A0)];
-        if args::flag(&args, "--json") {
-            println!(
-                "{{\"program\":\"{name}\",\"engine\":\"fast\",\"cycles\":{},\"observed\":{},\
-                 \"zero_stag\":{},\"no_div\":{},\"a0\":[{},{}]}}",
-                out.cycles, out.observed, out.zero_stag, out.no_div, a0[0], a0[1],
-            );
-        } else {
-            println!("program          : {name}");
-            println!("engine           : fast (functional, 1-IPC proxy counters)");
-            println!("cycles           : {}", out.cycles);
-            println!("exits            : {} / {}", twin.hart(0).exit(), twin.hart(1).exit());
-            println!("a0               : {:#x} / {:#x}", a0[0], a0[1]);
-            if let Some(g) = golden {
-                let ok = a0[0] == g && a0[1] == g;
-                println!("self-check       : {}", if ok { "PASS" } else { "FAIL" });
-            }
-            println!("observed steps   : {}", out.observed);
-            println!("zero staggering  : {}", out.zero_stag);
-            println!("no diversity     : {}", out.no_div);
-        }
-        if out.timed_out {
-            return Err("run did not complete within --max-cycles".to_owned());
-        }
-        return Ok(());
-    }
-
-    // `cycle` and `hybrid` share the monitored pipeline path: the whole run
-    // is monitor-observed, so hybrid's conservative "always-slow in guarded
-    // regions" rule keeps it on the cycle-accurate model throughout —
-    // verdicts stay byte-identical by construction.
     let mut sys = MonitoredSoc::new(
         SocConfig::default(),
         SafeDmConfig { report_mode: ReportMode::Polling, ..SafeDmConfig::default() },
@@ -1189,14 +1152,14 @@ fn run() -> Result<(), String> {
     // as an RTOS write would).
     sys.write_ctrl(1 | (safedm::monitor::regs::encode_mode(ReportMode::Polling) << 1));
 
-    let trace_n = args::opt_u64(&args, "--trace")?;
+    let trace_n = args::opt_u64(args, "--trace")?;
     if let Some(n) = trace_n {
         sys.soc_mut().core_mut(0).enable_commit_trace(n as usize);
     }
 
     // Optional VCD of the first N cycles.
-    let vcd_path = args::value(&args, "--vcd");
-    let vcd_cycles = args::u64_or(&args, "--vcd-cycles", 4_096)?;
+    let vcd_path = args::value(args, "--vcd");
+    let vcd_cycles = args::u64_or(args, "--vcd-cycles", 4_096)?;
     let mut vcd = vcd_path.as_ref().map(|_| {
         let mut v = ProbeVcd::new(2, "safedm_sim");
         let nd = v.add_channel("monitor.no_diversity", 1);
@@ -1238,7 +1201,7 @@ fn run() -> Result<(), String> {
     let c = sys.monitor().counters();
     let zero_stag = sys.monitor().instruction_diff().zero_cycles();
 
-    if args::flag(&args, "--json") {
+    if args::flag(args, "--json") {
         println!(
             "{{\"program\":\"{name}\",\"cycles\":{},\"observed\":{},\"zero_stag\":{zero_stag},\
              \"no_div\":{},\"ds_match\":{},\"is_match\":{},\"a0\":[{},{}],\"irq\":{}}}",
@@ -1271,8 +1234,47 @@ fn run() -> Result<(), String> {
     Ok(())
 }
 
+fn run(sub: Option<&str>, args: &[String], target: Option<&str>) -> Result<(), String> {
+    match sub {
+        Some("analyze") => run_analyze(args, target),
+        Some("trace") => run_trace(args, target),
+        Some("stats") => run_stats(args, target),
+        Some("campaign") => run_campaign(args),
+        Some("transform") => run_transform(args, target),
+        Some("bench") => run_bench(args),
+        Some("report") => run_report(args),
+        _ if args::flag(args, "--list-kernels") => {
+            for k in kernels::all() {
+                println!("{}", k.name);
+            }
+            Ok(())
+        }
+        _ => run_program(args, target),
+    }
+}
+
 fn main() -> ExitCode {
-    match run() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let (sub, flags, rest) = match SUBCOMMANDS.iter().find(|(name, _)| args[0] == *name) {
+        Some((name, flags)) => (Some(*name), flags, &args[1..]),
+        None => (None, &RUN_FLAGS, &args[..]),
+    };
+    let target = match check_args(sub, flags, rest) {
+        Ok((Checked::Run, target)) => target,
+        Ok((Checked::Help, _)) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("safedm-sim: {e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    match run(sub, rest, target) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("safedm-sim: {e}");

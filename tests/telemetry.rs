@@ -22,7 +22,6 @@ use safedm::obs::report::{
 };
 use safedm::tacle::kernels;
 use safedm_bench::experiments::{table1_cells, table1_events, table1_run_cells};
-use safedm_soc::Engine;
 
 /// A strategy over arbitrary event records: adversarial counter values
 /// (the full `u64` range) on a small vocabulary of kernel/config names.
@@ -42,7 +41,6 @@ fn any_event() -> impl Strategy<Value = CellEvent> {
                 index,
                 kernel,
                 config,
-                engine: "cycle".to_owned(),
                 run: a.0,
                 seed: a.1,
                 cycles: a.2,
@@ -113,8 +111,8 @@ fn event_stream_is_byte_identical_across_jobs() {
     let cells = table1_cells(&ks, Some(7));
     let (runs1, times1) = table1_run_cells(&cells, dm, 1, None);
     let (runs4, times4) = table1_run_cells(&cells, dm, 4, None);
-    let stream1 = to_jsonl(&table1_events(&cells, &runs1, &times1, Engine::Cycle), Timing::Strip);
-    let stream4 = to_jsonl(&table1_events(&cells, &runs4, &times4, Engine::Cycle), Timing::Strip);
+    let stream1 = to_jsonl(&table1_events(&cells, &runs1, &times1), Timing::Strip);
+    let stream4 = to_jsonl(&table1_events(&cells, &runs4, &times4), Timing::Strip);
     assert!(!stream1.is_empty());
     assert_eq!(stream1, stream4, "event stream differs between --jobs 1 and --jobs 4");
 }
@@ -246,7 +244,6 @@ fn fixture_events() -> Vec<CellEvent> {
             index: i as u64,
             kernel: kernel.to_owned(),
             config: config.to_owned(),
-            engine: "cycle".to_owned(),
             run: 0,
             seed: 1000 + i as u64,
             cycles,
